@@ -1,4 +1,4 @@
-"""Resilience-suite acceptance benchmark, recorded as ``BENCH_pr6.json``.
+"""Resilience-suite acceptance benchmark.
 
 Runs the ``resilience-bench`` matrix and asserts the PR's acceptance
 criteria:
@@ -6,7 +6,7 @@ criteria:
 * **mirror failover** — on a three-way join whose remote source dies into a
   deep sustained trickle (healthy mirror registered), the failover-adaptive
   run re-points the cursor mid-stream, beats the static twin by at least
-  1.3x simulated time in both engine modes, and returns the bit-identical
+  1.3x simulated time, and returns the bit-identical
   result multiset;
 * **admission backpressure** — deferring a collapsed-source session's
   activation improves the serving pool's p95 admission-to-completion
@@ -18,20 +18,14 @@ criteria:
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.experiments.resilience_bench import run_resilience_benchmark
 
 SCALE_FACTOR = 0.003
 SEED = 2004
 
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr6.json"
-
 
 def test_resilience_bench_acceptance_and_record():
     result = run_resilience_benchmark(scale_factor=SCALE_FACTOR, seed=SEED)
-    BENCH_OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
 
     assert result["all_verified"], (
         "a resilient configuration changed answers against its baseline twin"
@@ -39,8 +33,8 @@ def test_resilience_bench_acceptance_and_record():
     scenarios = result["scenarios"]
 
     failover = scenarios["failover"]["modes"]
-    for engine_mode, mode in failover.items():
-        context = f"failover/{engine_mode}"
+    for engine, mode in failover.items():
+        context = f"failover/{engine}"
         assert mode["failover_fired"], (
             f"{context}: the mirror-failover policy never re-pointed a cursor"
         )
@@ -48,12 +42,6 @@ def test_resilience_bench_acceptance_and_record():
             f"{context}: failover below the {result['failover_speedup_bar']}x "
             f"bar ({mode['speedup_simulated']}x)"
         )
-    # The compiled engine is bit-identical to the interpreted batched engine.
-    if "interpreted" in failover and "compiled" in failover:
-        for side in ("static_seconds", "adaptive_seconds"):
-            assert failover["compiled"][side] == failover["interpreted"][side], (
-                f"failover: compiled {side} diverged from interpreted"
-            )
 
     backpressure = scenarios["backpressure"]
     assert backpressure["deferred_sessions"], (

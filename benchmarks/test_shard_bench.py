@@ -1,10 +1,10 @@
-"""Sharded-serving scaling benchmark (``BENCH_pr10.json``).
+"""Sharded-serving scaling benchmark.
 
 Runs the same 8-query mix through :class:`~repro.serving.sharded.
-ShardedQueryServer` at 1, 2 and 4 worker processes and records the scaling
+ShardedQueryServer` at 1, 2 and 4 worker processes and checks the scaling
 curve — wall-clock throughput (the number the extra processes actually
 move), simulated p50/p95 latency, per-worker utilization and an
-answers-verified flag — to ``BENCH_pr10.json`` at the repo root.
+answers-verified flag.
 
 Assertions:
 
@@ -21,9 +21,6 @@ Assertions:
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 from repro.experiments.common import DEFAULT_BATCH_SIZE
 from repro.experiments.serving_bench import run_sharded_serving_benchmark
 
@@ -31,8 +28,6 @@ SCALE_FACTOR = 0.002
 SEED = 2004
 NUM_QUERIES = 8
 WORKER_COUNTS = (1, 2, 4)
-
-BENCH_OUTPUT = pathlib.Path(__file__).parent.parent / "BENCH_pr10.json"
 
 
 def test_shard_bench_scaling_curve():
@@ -77,5 +72,3 @@ def test_shard_bench_scaling_curve():
     else:
         assert gate["passed"] is None
         assert "not applicable" in gate["reason"]
-
-    BENCH_OUTPUT.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

@@ -278,8 +278,7 @@ class AdaptationRun:
         self.read_priorities.update(action.priorities)
         # Restored (priority 0) entries are the default — drop them so a
         # fully recovered pool leaves the dict empty and the engine's
-        # priority-free fast paths (including the compiled all-immediate
-        # driver) re-engage for the rest of the run.
+        # priority-free fast paths re-engage for the rest of the run.
         for name in [
             name for name, priority in self.read_priorities.items() if priority == 0
         ]:

@@ -17,10 +17,9 @@ AST-level lint rules (see :mod:`repro.analysis.rules` for the framework):
 * ``effects.global-mutable`` — no module-level mutable globals outside
   reviewed idempotent caches (:mod:`repro.analysis.effects`).
 
-:func:`repro.analysis.runner.run_lint` drives a full scan;
-:mod:`repro.analysis.codegen_audit` runs the same rules over *generated*
-compiled-engine source.  The ``repro-lint`` CLI subcommand and the CI
-``analysis`` job gate on a clean report.
+:func:`repro.analysis.runner.run_lint` drives a full scan.  The
+``repro-lint`` CLI subcommand and the CI ``analysis`` job gate on a clean
+report.
 """
 
 from repro.analysis.findings import (

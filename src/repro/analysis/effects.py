@@ -12,7 +12,7 @@ literals and constructors) with two exemptions:
 
 Everything else — including ALL_CAPS names the module *does* mutate — is a
 finding.  Idempotent caches that are safe to rebuild per process (the
-compiled-source code cache, the lint-rule registry) carry an inline
+lint-rule registry) carry an inline
 ``# lint: ignore[effects.global-mutable]`` pragma at the declaration, which
 doubles as the reviewed inventory of such caches.
 """

@@ -12,8 +12,7 @@ returns :class:`~repro.analysis.findings.Finding`s.  Two kinds exist:
 
 Rules self-register via the :func:`register_rule` decorator into a global
 registry keyed by rule name; :func:`default_rules` instantiates the full
-set.  The same rule objects are reused by the compiled-codegen audit, which
-feeds them *generated* ASTs instead of files on disk.
+set.
 """
 
 from __future__ import annotations

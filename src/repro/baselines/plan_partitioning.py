@@ -77,7 +77,6 @@ class PlanPartitioningExecutor:
         materialize_after_joins: int = 3,
         default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
         batch_size: int | None = None,
-        engine_mode: str = "interpreted",
         adaptation: AdaptationController | None = None,
     ) -> None:
         self.catalog = catalog
@@ -86,7 +85,6 @@ class PlanPartitioningExecutor:
         self.materialize_after_joins = materialize_after_joins
         self.default_cardinality = default_cardinality
         self.batch_size = batch_size
-        self.engine_mode = engine_mode
         # Like the static baseline, plan partitioning drives the shared
         # adaptivity kernel for its run lifecycle and (one-shot) plan
         # choices; the default controller has no policies and is inert.
@@ -187,7 +185,6 @@ class PlanPartitioningExecutor:
                 self.sources,
                 self.cost_model,
                 batch_size=self.batch_size,
-                engine_mode=self.engine_mode,
             )
             rows, plan = executor.execute(query, tree, clock=clock, metrics=metrics)
             return PlanPartitioningReport(
@@ -210,7 +207,6 @@ class PlanPartitioningExecutor:
             self.sources,
             self.cost_model,
             batch_size=self.batch_size,
-            engine_mode=self.engine_mode,
         )
         stage1_rows, stage1_plan = executor.execute(
             stage1_query, stage1_tree, clock=clock, metrics=metrics
@@ -248,7 +244,6 @@ class PlanPartitioningExecutor:
             stage2_sources,
             self.cost_model,
             batch_size=self.batch_size,
-            engine_mode=self.engine_mode,
         )
         rows, stage2_plan = stage2_executor.execute(
             stage2_query, stage2_tree, clock=clock, metrics=metrics

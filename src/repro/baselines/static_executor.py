@@ -60,14 +60,12 @@ class StaticExecutor:
         default_cardinality: int = DEFAULT_ASSUMED_CARDINALITY,
         bushy: bool = True,
         batch_size: int | None = None,
-        engine_mode: str = "interpreted",
         adaptation: AdaptationController | None = None,
     ) -> None:
         self.catalog = catalog
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()
         self.batch_size = batch_size
-        self.engine_mode = engine_mode
         # Static execution adapts nothing *at runtime*, but it still drives
         # the shared adaptivity kernel: registered policies get the run
         # lifecycle and may inform the one-shot plan choice (e.g. a
@@ -93,7 +91,6 @@ class StaticExecutor:
             self.sources,
             self.cost_model,
             batch_size=self.batch_size,
-            engine_mode=self.engine_mode,
         )
         wall_start = wall_now()
         rows, plan = executor.execute(query, tree, clock=clock, metrics=metrics)

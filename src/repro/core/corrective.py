@@ -32,7 +32,6 @@ from repro.adaptivity import (
 from repro.core.monitor import ExecutionMonitor
 from repro.core.phases import PhaseManager, PhaseRecord
 from repro.core.stitchup import StitchUpExecutor, StitchUpReport
-from repro.engine.compiled import fused_output_sink
 from repro.engine.cost import CostModel, ExecutionMetrics, SimulatedClock
 from repro.engine.operators.aggregate import GroupAccumulator
 from repro.engine.pipelined import PipelinedPlan, SourceCursor
@@ -141,7 +140,6 @@ class CorrectiveQueryProcessor:
         batch_size: int | None = None,
         order_adaptive: bool = False,
         order_tolerance: float = 0.05,
-        engine_mode: str = "interpreted",
         rate_adaptive: bool = False,
         rate_collapse_fraction: float = 0.5,
         rate_switch_threshold: float = 0.8,
@@ -198,30 +196,10 @@ class CorrectiveQueryProcessor:
         before the rate policy so a recoverable outage is repaired rather
         than merely gated around.
 
-        ``engine_mode="compiled"`` (opt-in, requires ``batch_size``) runs
-        every phase through fused plan-specialized batch pipelines
-        (:mod:`repro.engine.compiled`) instead of the generic operator code.
-        Answers, work counters, simulated seconds and phase counts are
-        bit-identical to the interpreted batched engine; each phase's plan —
-        including strategy-only hash↔merge switches — is recompiled when it
-        is built, and the shared group-by / canonical-layout adaptation is
-        fused into the generated sinks.
-
         ``adaptation`` overrides the default policy stack entirely (expert
         hook: the flags above are ignored for policy construction when an
         explicit controller is supplied).
         """
-        from repro.engine.compiled import ENGINE_MODES
-
-        if engine_mode not in ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
-            )
-        if engine_mode == "compiled" and batch_size is None:
-            raise ValueError(
-                "engine_mode='compiled' requires batch_size (the compiled "
-                "engine specializes the batched execution path)"
-            )
         self.catalog = catalog
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()
@@ -233,7 +211,6 @@ class CorrectiveQueryProcessor:
         self.batch_size = batch_size
         self.order_adaptive = order_adaptive
         self.order_tolerance = order_tolerance
-        self.engine_mode = engine_mode
         self.rate_adaptive = rate_adaptive
         self.failover_adaptive = failover_adaptive
         self.optimizer = Optimizer(
@@ -416,13 +393,6 @@ class CorrectiveQueryProcessor:
                     plan.output_sink_batch = lambda rows: accumulate_batch(
                         adapter.adapt_many(rows)
                     )
-                if self.engine_mode == "compiled":
-                    # Fuse the canonical-layout permutation into the group-by
-                    # fold (no adapted tuples are materialized; charges and
-                    # group states are identical — see make_batch_fold).
-                    fold = fused_output_sink(accumulator, adapter)
-                    if fold is not None:
-                        plan.output_sink_batch = fold
             elif adapter.is_identity:
                 plan.output_sink = collected.append
                 plan.output_sink_batch = collected.extend
@@ -447,7 +417,6 @@ class CorrectiveQueryProcessor:
                 cost_model=self.cost_model,
                 batch_size=self.batch_size,
                 join_strategies=current_strategies,
-                engine_mode=self.engine_mode,
             )
             if run.read_priorities:
                 plan.read_priorities = dict(run.read_priorities)
@@ -593,7 +562,6 @@ class CorrectiveQueryProcessor:
                 "order_adaptive": self.order_adaptive,
                 "rate_adaptive": self.rate_adaptive,
                 "failover_adaptive": self.failover_adaptive,
-                "engine_mode": self.engine_mode,
                 # Physical join algorithm per node, per phase (shows
                 # hash↔merge switches), and the peak resident join state.
                 "phase_join_algorithms": phase_algorithms,

@@ -177,13 +177,14 @@ class StitchUpExecutor:
         if not current_rows:
             return 0
         adapter = TupleAdapter(current_schema, self.output_schema)
-        produced = 0
+        if not adapter.is_identity:
+            current_rows = adapter.adapt_many(current_rows)
+        metrics = self.metrics
+        sink = self.output_sink
         for row in current_rows:
-            output = row if adapter.is_identity else adapter.adapt(row)
-            self.metrics.tuples_output += 1
-            self.output_sink(output)
-            produced += 1
-        return produced
+            metrics.tuples_output += 1
+            sink(row)
+        return len(current_rows)
 
     def _best_seed(
         self,

@@ -29,19 +29,6 @@ that — while still letting ablations model a per-batch dispatch overhead.
 ``ExecutionMetrics.work`` is the weighted sum of the counters using the
 weights in :class:`CostModel`; benchmarks report it alongside wall-clock.
 
-**Deferred charging invariant** (the compiled engine's accounting contract):
-:meth:`ExecutionMetrics.charge_batch` applies one integer delta per counter,
-computed from batch-level tallies, instead of incrementing counters once per
-tuple.  Because every counter is a plain integer sum and the engine never
-reads the clock in the middle of a batch, charging ``N`` tuples' worth of
-work as one delta of ``N`` is *provably equal* to ``N`` per-tuple charges:
-the counter values — and therefore ``work()`` and every
-:class:`SimulatedClock` charge derived from them — coincide exactly at every
-point where the engine synchronizes the clock (batch group boundaries, chunk
-boundaries, phase ends).  The compiled fused pipelines rely on this to do
-O(1) counter updates per batch while staying bit-identical to the
-interpreted engine's accounting.
-
 The :class:`SimulatedClock` converts work units into simulated seconds and
 additionally models waiting on delayed sources (the wireless experiment of
 Figure 3): pulling a tuple that has not "arrived" yet advances the clock to
@@ -110,39 +97,6 @@ class ExecutionMetrics:
             + self.tuples_output * model.tuple_output
             + self.batches_read * model.batch_read
         )
-
-    def charge_batch(
-        self,
-        *,
-        tuples_read: int = 0,
-        hash_inserts: int = 0,
-        hash_probes: int = 0,
-        comparisons: int = 0,
-        predicate_evals: int = 0,
-        tuple_copies: int = 0,
-        aggregate_updates: int = 0,
-        tuples_output: int = 0,
-        batches_read: int = 0,
-    ) -> None:
-        """Apply batch-level counter deltas in O(1) per counter.
-
-        This is the deferred-charging API of the compiled execution mode:
-        the fused batch pipelines tally how much work of each kind a whole
-        batch performed and charge it here once, instead of touching the
-        counters per tuple.  Summing integer deltas commutes with per-tuple
-        increments, so the resulting counter values (and every quantity
-        derived from them — ``work()``, the simulated clock) are identical
-        to per-tuple charging; see the module docstring.
-        """
-        self.tuples_read += tuples_read
-        self.hash_inserts += hash_inserts
-        self.hash_probes += hash_probes
-        self.comparisons += comparisons
-        self.predicate_evals += predicate_evals
-        self.tuple_copies += tuple_copies
-        self.aggregate_updates += aggregate_updates
-        self.tuples_output += tuples_output
-        self.batches_read += batches_read
 
     def snapshot(self) -> "ExecutionMetrics":
         """Return an independent copy of the current counter values."""

@@ -140,101 +140,6 @@ class GroupAccumulator:
         self.tuples_consumed += count
         self.metrics.aggregate_updates += count * len(aggregates)
 
-    def make_batch_fold(self, position_map: Sequence[int] | None = None):
-        """Generate a specialized batch-fold equivalent to :meth:`accumulate_batch`.
-
-        The returned callable folds a batch of rows into this accumulator's
-        group state with the aggregate merges inlined (no per-row method
-        dispatch), charging exactly the counters :meth:`accumulate_batch`
-        charges and evolving the group dictionary through the identical
-        sequence of states — including fold order, so floating-point sums are
-        bit-identical.  ``position_map`` optionally maps this accumulator's
-        input-schema positions to positions in the rows the fold will
-        receive: the compiled engine composes a canonical-layout
-        :class:`~repro.relational.tuples.TupleAdapter` into the fold this
-        way instead of materializing adapted tuples.  Returns ``None`` when
-        no specialization applies (partial-aggregate input, or an attribute
-        the map cannot reach), in which case callers fall back to the
-        generic path.
-        """
-        if self.input_is_partial:
-            return None
-
-        def mapped(pos: int) -> int:
-            if pos < 0 or position_map is None:
-                return pos
-            return position_map[pos]
-
-        key_positions = [mapped(p) for p in self._group_positions]
-        value_positions = [mapped(p) for p in self._value_positions]
-        if any(p < 0 for p in key_positions) or any(
-            p < 0 and agg.function != "count"
-            for p, agg in zip(value_positions, self.aggregates)
-        ):
-            return None
-
-        if len(key_positions) == 1:
-            key_expr = f"(row[{key_positions[0]}],)"
-        else:
-            key_expr = "(" + ", ".join(f"row[{p}]" for p in key_positions) + ")"
-
-        init_exprs: list[str] = []
-        update_lines: list[str] = []
-        for idx, (agg, pos) in enumerate(zip(self.aggregates, value_positions)):
-            fn = agg.function
-            if fn == "count":
-                init_exprs.append("0")
-                update_lines.append(f"st[{idx}] = st[{idx}] + 1")
-            elif fn == "sum":
-                init_exprs.append("0")
-                update_lines.append(f"st[{idx}] = st[{idx}] + row[{pos}]")
-            elif fn == "avg":
-                init_exprs.append("(0.0, 0)")
-                update_lines.append(f"_t, _c = st[{idx}]")
-                update_lines.append(f"st[{idx}] = (_t + row[{pos}], _c + 1)")
-            elif fn == "min":
-                init_exprs.append("None")
-                update_lines.append(f"_v = row[{pos}]")
-                update_lines.append(f"_s = st[{idx}]")
-                update_lines.append(
-                    f"st[{idx}] = _v if _s is None or _v < _s else _s"
-                )
-            else:  # max
-                init_exprs.append("None")
-                update_lines.append(f"_v = row[{pos}]")
-                update_lines.append(f"_s = st[{idx}]")
-                update_lines.append(
-                    f"st[{idx}] = _v if _s is None or _v > _s else _s"
-                )
-
-        body = "\n".join(f"        {line}" for line in update_lines)
-        src = (
-            "def _fold(rows, _groups=_groups, _get=_groups.get, _self=_self, "
-            "_metrics=_metrics):\n"
-            "    for row in rows:\n"
-            f"        key = {key_expr}\n"
-            "        st = _get(key)\n"
-            "        if st is None:\n"
-            f"            _groups[key] = st = [{', '.join(init_exprs)}]\n"
-            f"{body}\n"
-            "    n = len(rows)\n"
-            "    _self.tuples_consumed += n\n"
-            f"    _metrics.aggregate_updates += n * {len(self.aggregates)}\n"
-        )
-        from repro.engine.compiled import _code_for
-
-        namespace = {
-            "_groups": self._groups,
-            "_self": self,
-            "_metrics": self.metrics,
-        }
-        exec(_code_for(src), namespace)
-        fold = namespace["_fold"]
-        # Expose the generated source for the compiled-codegen audit, same
-        # as compile_chain does for fused chains.
-        fold.__compiled_source__ = src
-        return fold
-
     @property
     def group_count(self) -> int:
         return len(self._groups)

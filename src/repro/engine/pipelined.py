@@ -443,46 +443,24 @@ class PipelinedPlan:
         batch_size: int | None = None,
         output_sink_batch: Callable[[list[tuple]], None] | None = None,
         join_strategies: dict[frozenset[str], object] | None = None,
-        engine_mode: str = "interpreted",
     ) -> None:
         """``join_strategies`` optionally maps a node's relation set to a
         :class:`~repro.optimizer.ordering.JoinStrategy`; nodes mapped to the
         ``"merge"`` algorithm are built as
         :class:`~repro.engine.pipelined_merge.PipelinedMergeJoinNode` instead
         of symmetric hash joins (the order-adaptive physical strategy).
-
-        ``engine_mode`` selects how batches are propagated: ``"interpreted"``
-        walks the generic operator code, ``"compiled"`` runs fused
-        plan-specialized batch functions (see :mod:`repro.engine.compiled`)
-        with identical results and work accounting.  Compiled mode requires
-        a ``batch_size``; chains are (re)generated per plan, so corrective
-        phase switches and hash↔merge strategy switches recompile naturally.
         """
-        from repro.engine.compiled import ENGINE_MODES
-
         if join_tree.relations() != frozenset(query.relations):
             raise PlanError(
                 f"join tree {join_tree} does not cover the relations of query {query.name}"
             )
         if batch_size is not None and batch_size < 1:
             raise PlanError(f"batch_size must be positive, got {batch_size}")
-        if engine_mode not in ENGINE_MODES:
-            raise PlanError(
-                f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
-            )
-        if engine_mode == "compiled" and batch_size is None:
-            raise PlanError(
-                "engine_mode='compiled' requires a batch_size (the compiled "
-                "engine specializes the batch path; tuple-at-a-time execution "
-                "is always interpreted)"
-            )
         self.query = query
         self.join_tree = join_tree
         self.cursors = cursors
         self.phase_id = phase_id
         self.batch_size = batch_size
-        self.engine_mode = engine_mode
-        self._compiled_chains: dict[str, Callable[[list], None]] | None = None
         self.join_strategies = dict(join_strategies) if join_strategies else {}
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.cost_model = cost_model or CostModel()
@@ -554,14 +532,12 @@ class PipelinedPlan:
             else:
                 oriented.append((pred.right_attr, pred.left_attr))
         left_key, right_key = oriented[0]
-        residual = None
         residual_fn = None
         if len(oriented) > 1:
-            residual = conjunction(
+            residual_fn = conjunction(
                 Comparison(AttributeRef(lk), "=", AttributeRef(rk))
                 for lk, rk in oriented[1:]
-            )
-            residual_fn = residual.compile(left_schema.concat(right_schema))
+            ).compile(left_schema.concat(right_schema))
 
         strategy = self.join_strategies.get(left_relations | right_relations)
         if strategy is not None and strategy.algorithm == "merge":
@@ -580,10 +556,6 @@ class PipelinedPlan:
             )
         node.left_relations = left_relations
         node.right_relations = right_relations
-        #: the residual Predicate tree (None when single-predicate); kept so
-        #: the compiled engine can inline its source instead of calling the
-        #: generic compiled closure per candidate tuple
-        node.residual_predicate = residual
         node.parent = parent
         node.parent_side = parent_side
         if parent is None:
@@ -902,8 +874,6 @@ class PipelinedPlan:
             limit = max_tuples
         if limit < 1:
             return 0
-        if self.engine_mode == "compiled":
-            return self._step_batch_compiled(limit, horizon)
         groups = self._read_schedule(limit, horizon)
         if not groups:
             return 0
@@ -934,162 +904,6 @@ class PipelinedPlan:
                 self._root_sink_batch(rows)
             else:
                 binding.node.push_batch(rows, binding.side)
-        self.statistics.steps += 1
-        self.statistics.tuples_read += total
-        return total
-
-    def _step_batch_compiled(self, limit: int, horizon: float | None) -> int:
-        """Read and propagate one batch through the fused compiled chains.
-
-        Mirrors the interpreted step exactly — same read schedule, and per
-        group the clock is synchronized (and stalled to the group's last
-        arrival) *before* the group's work, with each chain charging its
-        whole group's counters before the next group's synchronization — so
-        counter values at every clock-advancing point coincide with
-        interpreted execution, bit for bit (float addition is not
-        associative, so even the charge granularity is preserved; see
-        :mod:`repro.engine.compiled` for the equivalence contract).
-
-        The all-immediate common case (every live source's next tuple has
-        arrival 0.0, i.e. local data) takes a specialized driver that skips
-        the generic schedule assembly: quotas are water-filled exactly like
-        ``_read_schedule``'s zero phase, each quota is drained with one bulk
-        read, and same-leaf grants are merged in first-grant order — the
-        identical groups, in the identical order, that the generic path
-        would build.  This deliberately duplicates the zero phase's
-        scheduling rule; if you change one, change the other — the compiled
-        differential suite (``tests/test_differential_compiled.py``) pins
-        the bit-identity and will catch a divergence.
-        """
-        chains = self._compiled_chains
-        if chains is None:
-            from repro.engine.compiled import compile_plan_chains
-
-            chains = self._compiled_chains = compile_plan_chains(self)
-
-        pairs = self._leaf_pairs
-        if pairs is None:
-            pairs = self._leaf_pairs = [
-                (binding, self.cursors[name]) for name, binding in self.leaves.items()
-            ]
-
-        if self.read_priorities:
-            # Priority overrides (rate adaptivity) route through the generic
-            # scheduler, which implements the priority-aware rule once; the
-            # specialized all-immediate driver below deliberately mirrors
-            # only the priority-free zero phase.
-            groups = self._read_schedule(limit, horizon)
-            if not groups:
-                return 0
-            return self._run_compiled_groups(chains, groups)
-
-        # Fast path precondition: every live source's next tuple is
-        # immediately available.  (A source whose next arrival is in the
-        # future sends the whole step down the generic scheduler.)
-        zero_pairs = []
-        for pair in pairs:
-            arrival = pair[1].peek_arrival()
-            if arrival is None:
-                continue
-            if arrival > 0.0:
-                zero_pairs = None
-                break
-            zero_pairs.append(pair)
-        if not zero_pairs:
-            groups = self._read_schedule(limit, horizon)
-            if not groups:
-                return 0
-            return self._run_compiled_groups(chains, groups)
-
-        # Water-fill quotas and drain them with bulk reads, merging same-leaf
-        # grants in first-grant order — byte-identical groups, in identical
-        # order, to what _read_schedule's zero phase would assemble.
-        budget = limit
-        quotas = self._zero_quotas(
-            [cursor.consumed for _, cursor in zero_pairs], budget
-        )
-        groups = []
-        index: dict[str, list] = {}
-        delivered = 0
-        drained = False
-        for (binding, cursor), quota in zip(zero_pairs, quotas):
-            if quota <= 0:
-                continue
-            rows = cursor.read_zero_batch(quota)
-            if rows:
-                delivered += len(rows)
-                group = [binding, rows, 0.0]
-                index[binding.relation] = group
-                groups.append(group)
-            if len(rows) < quota:
-                drained = True
-        budget -= delivered
-        if not drained:
-            # Common single-round case: the whole budget was granted in one
-            # water-filling round; the granted runs are the final groups.
-            if not groups:
-                return 0
-            return self._run_compiled_groups(chains, groups)
-        while budget > 0 and delivered > 0:
-            zero_pairs = [
-                pair for pair in zero_pairs if pair[1].peek_arrival() == 0.0
-            ]
-            if not zero_pairs:
-                break
-            quotas = self._zero_quotas(
-                [cursor.consumed for _, cursor in zero_pairs], budget
-            )
-            delivered = 0
-            for (binding, cursor), quota in zip(zero_pairs, quotas):
-                if quota <= 0:
-                    continue
-                rows = cursor.read_zero_batch(quota)
-                if rows:
-                    delivered += len(rows)
-                    group = index.get(binding.relation)
-                    if group is None:
-                        group = [binding, rows, 0.0]
-                        index[binding.relation] = group
-                        groups.append(group)
-                    else:
-                        group[1].extend(rows)
-            budget -= delivered
-            if delivered == 0:
-                break
-        if budget > 0:
-            # Sources drained below the budget: any residue lives behind
-            # future arrivals (or everything is exhausted).  Delegate the
-            # rest to the generic scheduler and merge, exactly like
-            # _read_schedule's zero phase falling through to its
-            # arrival-driven loop.
-            for group in self._read_schedule(budget, horizon):
-                merged = index.get(group[0].relation)
-                if merged is None:
-                    groups.append(group)
-                else:
-                    merged[1].extend(group[1])
-                    if group[2] > merged[2]:
-                        merged[2] = group[2]
-        if not groups:
-            return 0
-        return self._run_compiled_groups(chains, groups)
-
-    def _run_compiled_groups(self, chains, groups: list[list]) -> int:
-        """Dispatch scheduled groups through the compiled chains.
-
-        The per-group sync/wait cadence is kept exactly as interpreted:
-        float addition is not associative, so charging the clock in any
-        other granularity would drift the last ulp of simulated seconds.
-        """
-        self.metrics.batches_read += 1
-        total = 0
-        sync = self._sync_clock
-        wait = self.clock.wait_until
-        for binding, rows, last_arrival in groups:
-            sync()
-            wait(last_arrival)
-            total += len(rows)
-            chains[binding.relation](rows)
         self.statistics.steps += 1
         self.statistics.tuples_read += total
         return total
@@ -1275,13 +1089,11 @@ class PipelinedExecutor:
         cost_model: CostModel | None = None,
         batch_size: int | None = None,
         join_strategies: dict[frozenset[str], object] | None = None,
-        engine_mode: str = "interpreted",
     ) -> None:
         self.sources = dict(sources)
         self.cost_model = cost_model or CostModel()
         self.batch_size = batch_size
         self.join_strategies = join_strategies
-        self.engine_mode = engine_mode
 
     def execute(
         self,
@@ -1321,7 +1133,6 @@ class PipelinedExecutor:
             batch_size=self.batch_size,
             output_sink_batch=collected.extend,
             join_strategies=self.join_strategies,
-            engine_mode=self.engine_mode,
         )
         if query.aggregation is not None:
             # The accumulator needs the join output schema, which depends on
@@ -1335,12 +1146,6 @@ class PipelinedExecutor:
             )
             plan.output_sink = accumulator.accumulate
             plan.output_sink_batch = accumulator.accumulate_batch
-            if self.engine_mode == "compiled":
-                from repro.engine.compiled import fused_output_sink
-
-                fold = fused_output_sink(accumulator)
-                if fold is not None:
-                    plan.output_sink_batch = fold
 
         plan.run()
         if accumulator is not None:

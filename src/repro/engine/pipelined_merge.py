@@ -184,12 +184,10 @@ class PipelinedMergeJoinNode:
     def process_batch(self, rows: list[tuple], side: str) -> list[tuple]:
         """Process a batch of arrivals and return the post-residual outputs.
 
-        Factored out of :meth:`push_batch` so the compiled engine can splice
-        a merge node into a fused leaf→root chain as one stage: the charges
-        (per-row :meth:`_process` comparisons, batch-level residual /
-        tuple-copy counters) and :attr:`output_count` updates are exactly
-        those of the interpreted batched path; only the propagation of the
-        returned batch differs between the callers.
+        The charges (per-row :meth:`_process` comparisons, batch-level
+        residual / tuple-copy counters) and :attr:`output_count` updates
+        are exactly those of tuple-at-a-time execution; :meth:`push_batch`
+        propagates the returned batch upward.
         """
         combined: list[tuple] = []
         extend = combined.extend

@@ -51,15 +51,6 @@ class HashTableState(StateStructure):
                 bucket.append(row)
         self._count += len(rows)
 
-    def add_count(self, count: int) -> None:
-        """Record ``count`` tuples inserted directly into :meth:`bucket_map`.
-
-        The compiled engine's fused chains append to the bucket dictionary
-        inline (sharing one key extraction between insert and probe) and
-        report the inserted total here, keeping ``len(self)`` consistent.
-        """
-        self._count += count
-
     def probe(self, key_value: object) -> list[tuple]:
         return self._buckets.get(key_value, [])
 
@@ -74,13 +65,11 @@ class HashTableState(StateStructure):
         """Direct read-only view of the bucket dictionary.
 
         Exposed for the batched join's tight probe loop, which calls
-        ``bucket_map().get`` directly to avoid a method call per tuple, and
-        for the compiled engine, which closes over ``bucket_map().get`` for
-        a whole corrective phase.  The dictionary's *identity* is stable for
-        the lifetime of this state structure (inserts and spills mutate it
-        in place; only :meth:`rehashed` builds a new structure), which is
-        what makes that caching sound.  Callers must not mutate the returned
-        mapping or its buckets.
+        ``bucket_map().get`` directly to avoid a method call per tuple.  The
+        dictionary's *identity* is stable for the lifetime of this state
+        structure (inserts and spills mutate it in place; only
+        :meth:`rehashed` builds a new structure).  Callers must not mutate
+        the returned mapping or its buckets.
         """
         return self._buckets
 

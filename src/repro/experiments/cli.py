@@ -10,7 +10,6 @@ Regenerate any of the paper's tables/figures without going through pytest::
     python -m repro.experiments.cli ablations     # sensitivity sweeps
     python -m repro.experiments.cli serve-bench   # multi-query serving layer
     python -m repro.experiments.cli order-bench   # order-adaptive joins
-    python -m repro.experiments.cli engine-bench  # tuple vs batched vs compiled
     python -m repro.experiments.cli rate-bench    # source-rate adaptivity
     python -m repro.experiments.cli resilience-bench  # failover/backpressure/seeding
     python -m repro.experiments.cli io-bench      # real sockets, injected faults
@@ -27,18 +26,14 @@ verifying every run's answers against solo execution and recording the
 wall-clock scaling curve (``--bench-output BENCH_pr10.json``).  ``order-bench`` compares
 hash-only against order-adaptive corrective processing over sorted /
 near-sorted / unordered / lying-promise source mixes and honours
-``--bench-output`` (e.g. ``BENCH_pr3.json``).  ``--engine-mode compiled``
-(requires ``--batch-size``) runs the engines through the fused compiled
-batch pipelines — identical results and simulated timings, lower wall-clock
-— and ``engine-bench`` measures all three engine modes against each other,
-verifying bit-identical accounting (``--bench-output BENCH_pr4.json``).
+``--bench-output`` (e.g. ``BENCH_pr3.json``).
 ``rate-bench`` compares plain corrective processing against
-``rate_adaptive=True`` over slow / bursty / flaky remote-source deliveries
-in both engine modes, verifies identical answers, and gates the >= 1.3x
+``rate_adaptive=True`` over slow / bursty / flaky remote-source deliveries,
+verifies identical answers, and gates the >= 1.3x
 simulated-time speedup on the slow and bursty workloads
 (``--bench-output BENCH_pr5.json``).  ``resilience-bench`` exercises the
-resilience policy suite — mirror failover on a dead primary (solo, both
-engine modes), admission backpressure under a flaky serving pool (p95
+resilience policy suite — mirror failover on a dead primary (solo),
+admission backpressure under a flaky serving pool (p95
 must improve), and rate-seeded initial plan choice for a repeat query —
 verifying in every scenario that the resilient configuration's answers
 are identical to its baseline twin (``--bench-output BENCH_pr6.json``).
@@ -72,7 +67,6 @@ from repro.experiments.corrective import (
     run_corrective_comparison,
     stitchup_breakdown,
 )
-from repro.experiments.engine_bench import engine_bench_rows, run_engine_benchmark
 from repro.experiments.order_bench import order_bench_rows, run_order_benchmark
 from repro.experiments.preaggregation import run_preaggregation_comparison
 from repro.experiments.rate_bench import rate_bench_rows, run_rate_benchmark
@@ -91,29 +85,18 @@ def _print(title: str, table: str) -> None:
     print(table)
 
 
-def run_fig2(
-    scale: float,
-    seed: int,
-    batch_size: int | None = None,
-    engine_mode: str = "interpreted",
-) -> None:
+def run_fig2(scale: float, seed: int, batch_size: int | None = None) -> None:
     results = run_corrective_comparison(
         scale_factor=scale,
         seed=seed,
         forced_bad_start=True,
         batch_size=batch_size,
-        engine_mode=engine_mode,
     )
     _print("Figure 2 — corrective query processing (local)", format_table(comparison_rows(results)))
     _print("Table 1 — stitch-up breakdown", format_table(stitchup_breakdown(results)))
 
 
-def run_fig3(
-    scale: float,
-    seed: int,
-    batch_size: int | None = None,
-    engine_mode: str = "interpreted",
-) -> None:
+def run_fig3(scale: float, seed: int, batch_size: int | None = None) -> None:
     results = run_corrective_comparison(
         scale_factor=scale,
         seed=seed,
@@ -122,7 +105,6 @@ def run_fig3(
         forced_bad_start=True,
         query_names=("Q3A", "Q10A", "Q5"),
         batch_size=batch_size,
-        engine_mode=engine_mode,
     )
     _print("Figure 3 — corrective query processing (wireless)", format_table(comparison_rows(results)))
     _print("Table 2 — stitch-up breakdown (wireless)", format_table(stitchup_breakdown(results)))
@@ -311,12 +293,10 @@ def run_rate_bench(
 ) -> None:
     from repro.experiments.rate_bench import ENGINE_CONFIGS
 
-    # --batch-size overrides the batch size of both engine configurations.
+    # --batch-size overrides the batch size of the engine configurations.
     engine_configs = ENGINE_CONFIGS
     if batch_size is not None:
-        engine_configs = tuple(
-            (engine_mode, batch_size) for engine_mode, _ in ENGINE_CONFIGS
-        )
+        engine_configs = tuple((engine, batch_size) for engine, _ in ENGINE_CONFIGS)
     result = run_rate_benchmark(
         scale_factor=scale, seed=seed, engine_configs=engine_configs
     )
@@ -343,7 +323,7 @@ def run_rate_bench(
         )
     print(
         "slow/bursty workloads: rate adaptivity beat static execution by "
-        ">= 1.3x simulated time in both engine modes"
+        ">= 1.3x simulated time"
     )
 
 
@@ -362,9 +342,7 @@ def run_resilience_bench(
     # --batch-size overrides the failover scenario's engine configurations.
     engine_configs = ENGINE_CONFIGS
     if batch_size is not None:
-        engine_configs = tuple(
-            (engine_mode, batch_size) for engine_mode, _ in ENGINE_CONFIGS
-        )
+        engine_configs = tuple((engine, batch_size) for engine, _ in ENGINE_CONFIGS)
     result = run_resilience_benchmark(
         scale_factor=scale, seed=seed, engine_configs=engine_configs
     )
@@ -444,51 +422,6 @@ def run_io_bench(
     )
 
 
-def run_engine_bench(
-    scale: float,
-    seed: int,
-    batch_size: int | None = None,
-    repeats: int = 5,
-    output: str | None = None,
-) -> None:
-    from repro.experiments.engine_bench import BATCH_SIZES
-
-    # --batch-size adds the requested size to the standard 1/64/1024 sweep
-    # (the standard sizes stay so headline speedups remain comparable).
-    batch_sizes = BATCH_SIZES
-    if batch_size is not None:
-        batch_sizes = tuple(sorted(set(BATCH_SIZES) | {batch_size}))
-    result = run_engine_benchmark(
-        scale_factor=scale, seed=seed, repeats=repeats, batch_sizes=batch_sizes
-    )
-    _print(
-        "Engine modes — tuple vs interpreted batched vs compiled (fig2 smoke)",
-        format_table(engine_bench_rows(result)),
-    )
-    # Write the record before the verification gate: on a failure the JSON's
-    # ``equivalence_mismatches`` list is the primary diagnostic.
-    if output is not None:
-        path = pathlib.Path(output)
-        path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-        print(f"\nbenchmark record written to {path}")
-    if not result["equivalence_check"]:
-        raise SystemExit(
-            "engine-bench verification FAILED: compiled and interpreted "
-            f"engines diverged: {result['equivalence_mismatches']}"
-        )
-    print(
-        "compiled-vs-interpreted verification: result multisets, work "
-        "counters, simulated seconds and phase counts all identical"
-    )
-    headline = result["speedups"][str(result["headline_batch"])]
-    print(
-        f"speedups at batch {result['headline_batch']}: "
-        f"batched/tuple {headline['batched_vs_tuple']}x, "
-        f"compiled/tuple {headline['compiled_vs_tuple']}x, "
-        f"compiled/batched {headline['compiled_vs_batched']}x"
-    )
-
-
 EXPERIMENTS: dict[str, Callable[[float, int, int | None], None]] = {
     "fig2": run_fig2,
     "fig3": run_fig3,
@@ -497,9 +430,6 @@ EXPERIMENTS: dict[str, Callable[[float, int, int | None], None]] = {
     "sec4.5": run_sec45,
     "ablations": run_ablations,
 }
-
-#: Experiments that honour ``--engine-mode`` (they run the pipelined engines).
-ENGINE_MODE_EXPERIMENTS = ("fig2", "fig3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         + [
             "serve-bench",
             "order-bench",
-            "engine-bench",
             "rate-bench",
             "resilience-bench",
             "io-bench",
@@ -545,23 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--engine-mode",
-        choices=("interpreted", "compiled"),
-        default="interpreted",
-        help=(
-            "execution mode for the pipelined engines (fig2, fig3): "
-            "'compiled' runs fused plan-specialized batch pipelines and "
-            "requires --batch-size; results and simulated timings are "
-            "bit-identical to 'interpreted'"
-        ),
-    )
-    parser.add_argument(
-        "--bench-repeats",
-        type=int,
-        default=5,
-        help="engine-bench: wall-clock repetitions per configuration (best-of)",
-    )
-    parser.add_argument(
         "--serve-queries",
         type=int,
         default=8,
@@ -590,17 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--bench-output",
         default=None,
         help=(
-            "serve-bench / order-bench / engine-bench / rate-bench / "
+            "serve-bench / order-bench / rate-bench / "
             "resilience-bench / io-bench: write the JSON benchmark record "
             "to this path"
-        ),
-    )
-    parser.add_argument(
-        "--no-codegen",
-        action="store_true",
-        help=(
-            "repro-lint: skip the compiled-codegen audit and only run the "
-            "file-level rules (the full gate runs both)"
         ),
     )
     parser.add_argument(
@@ -630,19 +534,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_repro_lint(
-    codegen: bool = True,
     shard_audit: bool = False,
     output_format: str = "text",
     report_output: str | None = None,
 ) -> int:
-    """The static-analysis gate: file-level lint plus the codegen audit.
+    """The static-analysis gate: file-level lint and, optionally, the shard audit.
 
-    Prints both reports and returns a documented process exit code — the
+    Prints the report and returns a documented process exit code — the
     CI ``analysis`` job gates on it:
 
     * ``0`` — every rule clean (nothing unsuppressed);
-    * ``1`` — at least one finding (lint, codegen audit, or an invalid
-      channel registry under ``--shard-audit``);
+    * ``1`` — at least one finding (lint, or an invalid channel registry
+      under ``--shard-audit``);
     * ``2`` — usage error (argparse rejects the invocation).
     """
     import json as _json
@@ -672,19 +575,6 @@ def run_repro_lint(
         ]
         payload["registry_problems"] = registry_problems
 
-    codegen_report = None
-    if codegen:
-        from repro.analysis.codegen_audit import audit_generated_pipelines
-
-        codegen_report = audit_generated_pipelines()
-        failed = failed or not codegen_report.clean
-        payload["codegen"] = {
-            "clean": codegen_report.clean,
-            "pipelines_audited": codegen_report.pipelines_audited,
-            "folds_audited": codegen_report.folds_audited,
-            "findings": [f.as_dict() for f in codegen_report.findings],
-        }
-
     if output_format == "json":
         print(_json.dumps(payload, indent=2))
     else:
@@ -693,8 +583,6 @@ def run_repro_lint(
             print(channels.render_inventory())
             for problem in registry_problems:
                 print(f"  registry problem: {problem}")
-        if codegen_report is not None:
-            print(codegen_report.render())
 
     if report_output is not None:
         pathlib.Path(report_output).write_text(
@@ -708,26 +596,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.experiment == "repro-lint":
         return run_repro_lint(
-            codegen=not args.no_codegen,
             shard_audit=args.shard_audit,
             output_format=args.output_format,
             report_output=args.report_output,
         )
     if args.batch_size is not None and args.batch_size < 1:
         raise SystemExit("--batch-size must be a positive integer")
-    if args.engine_mode == "compiled" and args.batch_size is None:
-        raise SystemExit("--engine-mode compiled requires --batch-size")
-    if args.experiment == "engine-bench":
-        if args.bench_repeats < 1:
-            raise SystemExit("--bench-repeats must be a positive integer")
-        run_engine_bench(
-            args.scale,
-            args.seed,
-            args.batch_size,
-            repeats=args.bench_repeats,
-            output=args.bench_output,
-        )
-        return 0
     if args.experiment == "serve-bench":
         if args.serve_queries < 1:
             raise SystemExit("--serve-queries must be a positive integer")
@@ -772,16 +646,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     elif args.experiment == "all":
         for name in ("fig2", "fig3", "fig5", "fig6", "sec4.5", "ablations"):
-            if name in ENGINE_MODE_EXPERIMENTS:
-                EXPERIMENTS[name](
-                    args.scale, args.seed, args.batch_size, engine_mode=args.engine_mode
-                )
-            else:
-                EXPERIMENTS[name](args.scale, args.seed, args.batch_size)
-    elif args.experiment in ENGINE_MODE_EXPERIMENTS:
-        EXPERIMENTS[args.experiment](
-            args.scale, args.seed, args.batch_size, engine_mode=args.engine_mode
-        )
+            EXPERIMENTS[name](args.scale, args.seed, args.batch_size)
     else:
         EXPERIMENTS[args.experiment](args.scale, args.seed, args.batch_size)
     return 0

@@ -105,7 +105,6 @@ def run_corrective_comparison(
     forced_bad_start: bool = False,
     seed: int = DEFAULT_SEED,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
 ) -> list[CorrectiveRunResult]:
     """Run the Figure 2 (or Figure 3, with ``wireless=True``) comparison.
 
@@ -115,11 +114,6 @@ def run_corrective_comparison(
     ~1% for the wireless ones (Figure 3), where arrival waits and work
     charges interleave differently within a batch.  Only the wall-clock cost
     of regenerating the experiment changes materially.
-
-    ``engine_mode="compiled"`` (requires a ``batch_size``) additionally runs
-    every engine through the fused compiled batch pipelines — results,
-    simulated seconds and phase counts are bit-identical to
-    ``"interpreted"`` batched execution at the same batch size.
     """
     datasets = datasets or build_paper_datasets(scale_factor, seed)
     queries = paper_queries(query_names)
@@ -160,7 +154,6 @@ def run_corrective_comparison(
                         polling_interval,
                         initial_tree,
                         batch_size,
-                        engine_mode,
                     )
                 )
     return results
@@ -177,12 +170,11 @@ def _run_single(
     polling_interval: float,
     initial_tree: JoinTree | None,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
 ) -> CorrectiveRunResult:
     if strategy.startswith("static"):
-        report = StaticExecutor(
-            catalog, sources, batch_size=batch_size, engine_mode=engine_mode
-        ).execute(query, join_tree=initial_tree)
+        report = StaticExecutor(catalog, sources, batch_size=batch_size).execute(
+            query, join_tree=initial_tree
+        )
         return CorrectiveRunResult(
             query_name=query_name,
             dataset=dataset_label,
@@ -195,7 +187,7 @@ def _run_single(
         )
     if strategy == "plan_partitioning":
         report = PlanPartitioningExecutor(
-            catalog, sources, batch_size=batch_size, engine_mode=engine_mode
+            catalog, sources, batch_size=batch_size
         ).execute(query)
         return CorrectiveRunResult(
             query_name=query_name,
@@ -213,7 +205,6 @@ def _run_single(
         sources,
         polling_interval_seconds=polling_interval,
         batch_size=batch_size,
-        engine_mode=engine_mode,
     )
     report = processor.execute(query, initial_tree=initial_tree)
     return CorrectiveRunResult(

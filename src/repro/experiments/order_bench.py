@@ -18,7 +18,7 @@ The acceptance story (recorded as booleans in the JSON):
 * every adaptive run's result multiset is identical to its hash-only twin.
 
 Used by the ``order-bench`` CLI subcommand and by
-``benchmarks/test_order_bench.py`` (which records ``BENCH_pr3.json``).
+``benchmarks/test_order_bench.py``.
 """
 
 from __future__ import annotations

@@ -24,15 +24,15 @@ collapse against the catalog's ``promised_rate``, demotes ``f`` in the read
 schedule, and switches to the gating plan, converting post-arrival work
 into overlapped work.
 
-Reported per scenario and engine mode (interpreted / compiled, both batched):
+Reported per scenario and engine configuration (interpreted, batched):
 simulated seconds static vs adaptive, the speedup, whether the rate policy
 fired, and result-multiset equality (rate adaptivity must never change
 answers).  The acceptance gate — recorded as booleans in the JSON — is a
 ``>= 1.3×`` simulated-time speedup on the slow and bursty workloads with
-identical answers in both engine modes.
+identical answers.
 
 Used by the ``rate-bench`` CLI subcommand and by
-``benchmarks/test_rate_bench.py`` (which records ``BENCH_pr5.json``).
+``benchmarks/test_rate_bench.py``.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from repro.sources.remote import RemoteSource
 
 SCENARIOS = ("slow", "bursty", "flaky")
 
-#: engine configurations every scenario runs under (mode, batch size)
-ENGINE_CONFIGS = (("interpreted", 64), ("compiled", 64))
+#: engine configurations every scenario runs under (label, batch size)
+ENGINE_CONFIGS = (("interpreted", 64),)
 
 #: fan-out of the multiplicative ``f ⋈ l1`` join
 FANOUT = 21
@@ -138,7 +138,6 @@ def _run(
     initial_tree,
     rate_adaptive: bool,
     batch_size: int,
-    engine_mode: str,
     polling_interval: float,
     cost_model: CostModel,
 ):
@@ -149,7 +148,6 @@ def _run(
         polling_interval_seconds=polling_interval,
         switch_threshold=SWITCH_THRESHOLD,
         batch_size=batch_size,
-        engine_mode=engine_mode,
         rate_adaptive=rate_adaptive,
     )
     start = time.perf_counter()
@@ -183,7 +181,7 @@ def run_rate_benchmark(
     results: dict[str, dict] = {}
     for scenario in scenarios:
         per_mode: dict[str, dict] = {}
-        for engine_mode, batch_size in engine_configs:
+        for engine, batch_size in engine_configs:
             query, catalog, sources, initial_tree, work_floor = _build_workload(
                 n, seed, scenario, cost_model
             )
@@ -194,18 +192,18 @@ def run_rate_benchmark(
             polling_interval = 0.03 * work_floor
             static_report, static_wall = _run(
                 query, catalog, sources, initial_tree,
-                False, batch_size, engine_mode, polling_interval, cost_model,
+                False, batch_size, polling_interval, cost_model,
             )
             adaptive_report, adaptive_wall = _run(
                 query, catalog, sources, initial_tree,
-                True, batch_size, engine_mode, polling_interval, cost_model,
+                True, batch_size, polling_interval, cost_model,
             )
             rate_switches = [
                 switch
                 for switch in adaptive_report.details["adaptation"]["switches"]
                 if switch["policy"] == "source_rate"
             ]
-            per_mode[engine_mode] = {
+            per_mode[engine] = {
                 "batch_size": batch_size,
                 "answers": len(adaptive_report.rows),
                 "verified_vs_static": Counter(adaptive_report.rows)
@@ -251,14 +249,14 @@ def run_rate_benchmark(
 
 
 def rate_bench_rows(result: dict) -> list[dict[str, object]]:
-    """One row per scenario × engine mode for ``format_table``."""
+    """One row per scenario × engine configuration for ``format_table``."""
     rows = []
     for scenario, stats in result["scenarios"].items():
-        for engine_mode, mode in stats["modes"].items():
+        for engine, mode in stats["modes"].items():
             rows.append(
                 {
                     "scenario": scenario,
-                    "engine": engine_mode,
+                    "engine": engine,
                     "static_s": mode["static"]["simulated_seconds"],
                     "adaptive_s": mode["adaptive"]["simulated_seconds"],
                     "speedup": mode["speedup_simulated"],

@@ -23,12 +23,12 @@ adaptivity kernel:
 
 The acceptance gates — recorded as booleans in the JSON — are a
 ``>= 1.3x`` simulated-time speedup with at least one mirror failover on
-the failover scenario (both engine modes), a strict p95 improvement on the
+the failover scenario, a strict p95 improvement on the
 backpressure scenario, and a gated phase-0 tree for the seeded repeat; all
 with result multisets identical to their non-resilient twins.
 
 Used by the ``resilience-bench`` CLI subcommand and by
-``benchmarks/test_resilience_bench.py`` (which records ``BENCH_pr6.json``).
+``benchmarks/test_resilience_bench.py``.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from repro.sources.remote import RemoteSource
 
 SCENARIOS = ("failover", "backpressure", "rate_seeded")
 
-#: engine configurations the failover scenario runs under (mode, batch size)
-ENGINE_CONFIGS = (("interpreted", 64), ("compiled", 64))
+#: engine configurations the failover scenario runs under (label, batch size)
+ENGINE_CONFIGS = (("interpreted", 64),)
 
 #: simulated-time speedup the failover scenario must reach
 FAILOVER_SPEEDUP_BAR = 1.3
@@ -137,7 +137,6 @@ def _run_failover_side(
     cost_model: CostModel,
     failover_adaptive: bool,
     batch_size: int,
-    engine_mode: str,
 ):
     query, catalog, sources, work_floor = _failover_workload(n, seed, cost_model)
     processor = CorrectiveQueryProcessor(
@@ -146,7 +145,6 @@ def _run_failover_side(
         cost_model,
         polling_interval_seconds=0.03 * work_floor,
         batch_size=batch_size,
-        engine_mode=engine_mode,
         failover_adaptive=failover_adaptive,
         failover_stall_seconds=0.02 * work_floor,
     )
@@ -157,15 +155,15 @@ def _run_failover_side(
 
 def _failover_scenario(n: int, seed: int, cost_model: CostModel, engine_configs):
     per_mode: dict[str, dict] = {}
-    for engine_mode, batch_size in engine_configs:
+    for engine, batch_size in engine_configs:
         static_report, static_wall = _run_failover_side(
-            n, seed, cost_model, False, batch_size, engine_mode
+            n, seed, cost_model, False, batch_size
         )
         adaptive_report, adaptive_wall = _run_failover_side(
-            n, seed, cost_model, True, batch_size, engine_mode
+            n, seed, cost_model, True, batch_size
         )
         failovers = adaptive_report.details["adaptation"]["failovers"]
-        per_mode[engine_mode] = {
+        per_mode[engine] = {
             "batch_size": batch_size,
             "answers": len(adaptive_report.rows),
             "verified_vs_static": Counter(adaptive_report.rows)
@@ -441,14 +439,14 @@ def run_resilience_benchmark(
 
 
 def resilience_bench_rows(result: dict) -> list[dict[str, object]]:
-    """One row per scenario (per engine mode for failover) for ``format_table``."""
+    """One row per scenario (per engine configuration for failover) for ``format_table``."""
     rows: list[dict[str, object]] = []
     scenarios = result["scenarios"]
-    for engine_mode, mode in scenarios.get("failover", {}).get("modes", {}).items():
+    for engine, mode in scenarios.get("failover", {}).get("modes", {}).items():
         rows.append(
             {
                 "scenario": "failover",
-                "engine": engine_mode,
+                "engine": engine,
                 "baseline_s": mode["static_seconds"],
                 "resilient_s": mode["adaptive_seconds"],
                 "improvement": f"{mode['speedup_simulated']}x",

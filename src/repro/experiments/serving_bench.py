@@ -8,7 +8,7 @@ against its solo corrective execution: the result multisets must be
 identical — concurrency may change timing and plan choices, never answers.
 
 Used by the ``serve-bench`` CLI subcommand and by
-``benchmarks/test_serve_bench.py`` (which records ``BENCH_pr2.json``).
+``benchmarks/test_serve_bench.py``.
 """
 
 from __future__ import annotations

@@ -133,12 +133,8 @@ class AdaptiveIntegrationSystem:
         ``"plan_partitioning"``.  Every strategy accepts ``batch_size``:
         ``None`` (default) executes tuple-at-a-time as in the paper, an
         integer executes batch-at-a-time with identical results and work
-        accounting but far lower per-tuple interpreter overhead.  Every
-        strategy also accepts ``engine_mode``: ``"interpreted"`` (default)
-        runs the generic operator code, ``"compiled"`` (requires a
-        ``batch_size``) runs fused plan-specialized batch pipelines with
-        bit-identical answers, work counters and simulated timings (see
-        :mod:`repro.engine.compiled`).  The ``"corrective"`` strategy
+        accounting but far lower per-tuple interpreter overhead.  The
+        ``"corrective"`` strategy
         additionally accepts ``order_adaptive=True`` to detect source order
         at runtime and run / switch to streaming merge joins on
         (near-)sorted inputs, and ``rate_adaptive=True`` to react to sources
@@ -209,7 +205,7 @@ class AdaptiveIntegrationSystem:
         ``stats_cache`` to carry learned statistics across successive
         ``serve`` calls.  Remaining keyword ``options`` go to the server
         (``polling_interval_seconds``, ``switch_threshold``,
-        ``order_adaptive``, ``rate_adaptive``, ``engine_mode``,
+        ``order_adaptive``, ``rate_adaptive``,
         ``session_policies``, …).
 
         Each query's result multiset is identical to what a solo

@@ -49,6 +49,12 @@ class TupleAdapter:
                 missing.append(pos)
         object.__setattr__(self, "_mapping", tuple(mapping))
         object.__setattr__(self, "_missing", tuple(missing))
+        object.__setattr__(
+            self,
+            "_is_identity",
+            len(self.source) == len(self.target)
+            and tuple(mapping) == tuple(range(len(self.target))),
+        )
         # Fast path: when every target attribute exists in the source the
         # gather is a pure positional permutation, which operator.itemgetter
         # performs in C.  itemgetter's arity quirks (scalar result for one
@@ -73,9 +79,7 @@ class TupleAdapter:
         still needs a projecting gather (``adapt_many`` short-circuits
         identity adapters by returning rows unchanged).
         """
-        return len(self.source) == len(self.target) and self._mapping == tuple(
-            range(len(self.target))
-        )  # type: ignore[attr-defined]
+        return self._is_identity  # type: ignore[attr-defined]
 
     @property
     def has_missing(self) -> bool:

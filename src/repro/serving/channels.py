@@ -25,8 +25,8 @@ rationale:
     state (catalog).
 ``cross_process_safe``
     Will cross a process boundary under sharding; every transitively
-    reachable field must be picklable, and compiled pipelines must travel
-    as ``__compiled_source__`` + constants, never as code objects.
+    reachable field must be picklable, and ``exec``-generated code must
+    travel as ``__compiled_source__`` + constants, never as code objects.
 
 The shard-safety rules in :mod:`repro.analysis.sharding` *parse this file
 statically* (the declarations are deliberately literal-only) and verify the
@@ -116,7 +116,6 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "engine/operators/scan.py::Scan._produce",
             "engine/pipelined.py::PipelinedPlan.step",
             "engine/pipelined.py::PipelinedPlan.step_batch",
-            "engine/pipelined.py::PipelinedPlan._run_compiled_groups",
             "engine/pipelined.py::PipelinedPlan._sync_clock",
             "core/complementary.py::_JoinDriver.read",
             "core/complementary.py::_JoinDriver.sync_clock",
@@ -221,9 +220,7 @@ CHANNELS: tuple[SharedChannel, ...] = (
             "the FIFO task hand-off of the sharded server: the front-end "
             "routes sessions to shards and enqueues one ShardTask per "
             "worker (catalog snapshot, source pool, picklable session "
-            "specs, processor knobs, statistics snapshot); compiled "
-            "pipelines rehydrate worker-side from generated source, never "
-            "as code objects"
+            "specs, processor knobs, statistics snapshot)"
         ),
         writers=("serving/sharded.py::ShardedQueryServer.run",),
         payload_types=(

@@ -154,7 +154,6 @@ def corrective_processor_options(
     bushy: bool = True,
     batch_size: int | None = None,
     order_adaptive: bool = False,
-    engine_mode: str = "interpreted",
     rate_adaptive: bool = False,
     rate_collapse_fraction: float = 0.5,
     rate_switch_threshold: float = 0.8,
@@ -171,17 +170,6 @@ def corrective_processor_options(
     processors with exactly the knobs the front-end was configured with.
     Every value is a plain scalar, so the dict pickles as-is.
     """
-    from repro.engine.compiled import ENGINE_MODES
-
-    if engine_mode not in ENGINE_MODES:
-        raise ValueError(
-            f"unknown engine_mode {engine_mode!r}; expected one of {ENGINE_MODES}"
-        )
-    if engine_mode == "compiled" and batch_size is None:
-        raise ValueError(
-            "engine_mode='compiled' requires batch_size (the compiled "
-            "engine specializes the batched execution path)"
-        )
     return {
         "polling_interval_seconds": polling_interval_seconds,
         "switch_threshold": switch_threshold,
@@ -190,7 +178,6 @@ def corrective_processor_options(
         "bushy": bushy,
         "batch_size": batch_size,
         "order_adaptive": order_adaptive,
-        "engine_mode": engine_mode,
         "rate_adaptive": rate_adaptive,
         "rate_collapse_fraction": rate_collapse_fraction,
         "rate_switch_threshold": rate_switch_threshold,
@@ -219,7 +206,6 @@ class QueryServer:
         stats_cache: SharedStatisticsCache | None = None,
         share_statistics: bool = True,
         order_adaptive: bool = False,
-        engine_mode: str = "interpreted",
         rate_adaptive: bool = False,
         rate_collapse_fraction: float = 0.5,
         rate_switch_threshold: float = 0.8,
@@ -243,12 +229,6 @@ class QueryServer:
         policy to every session (collapsed sources are demoted in the read
         schedule and can trigger rate-aware plan switches — see
         :class:`~repro.adaptivity.rate.SourceRatePolicy`).
-        ``engine_mode="compiled"`` (requires a
-        ``batch_size``) runs every session's phases through the fused
-        compiled batch pipelines; served answers, per-query simulated
-        timings and phase counts are bit-identical to interpreted serving,
-        and each session recompiles per phase exactly as in solo execution —
-        incremental quanta suspend and resume compiled plans transparently.
         ``failover_adaptive=True`` adds the mirror-failover policy to every
         session (sources in sustained outage resume from registered mirrors
         — see :class:`~repro.adaptivity.failover.MirrorFailoverPolicy`).
@@ -271,9 +251,6 @@ class QueryServer:
         """
         if quantum_tuples < 1:
             raise ValueError("quantum_tuples must be positive")
-        # Validates engine_mode / batch_size combinations as a side effect;
-        # submit() re-derives the dict so later attribute tweaks still apply.
-        corrective_processor_options(batch_size=batch_size, engine_mode=engine_mode)
         # The server owns a private catalog copy: learned statistics are
         # published into it between sessions without mutating the caller's.
         self.catalog = catalog.copy()
@@ -290,7 +267,6 @@ class QueryServer:
         self.stats_cache = stats_cache or SharedStatisticsCache()
         self.share_statistics = share_statistics
         self.order_adaptive = order_adaptive
-        self.engine_mode = engine_mode
         self.rate_adaptive = rate_adaptive
         self.rate_collapse_fraction = rate_collapse_fraction
         self.rate_switch_threshold = rate_switch_threshold
@@ -323,7 +299,6 @@ class QueryServer:
             bushy=self.bushy,
             batch_size=self.batch_size,
             order_adaptive=self.order_adaptive,
-            engine_mode=self.engine_mode,
             rate_adaptive=self.rate_adaptive,
             rate_collapse_fraction=self.rate_collapse_fraction,
             rate_switch_threshold=self.rate_switch_threshold,

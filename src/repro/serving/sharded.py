@@ -162,7 +162,6 @@ class ShardedQueryServer:
         stats_cache: StatisticsBackend | None = None,
         share_statistics: bool = True,
         order_adaptive: bool = False,
-        engine_mode: str = "interpreted",
         rate_adaptive: bool = False,
         rate_collapse_fraction: float = 0.5,
         rate_switch_threshold: float = 0.8,
@@ -202,7 +201,6 @@ class ShardedQueryServer:
             bushy=bushy,
             batch_size=batch_size,
             order_adaptive=order_adaptive,
-            engine_mode=engine_mode,
             rate_adaptive=rate_adaptive,
             rate_collapse_fraction=rate_collapse_fraction,
             rate_switch_threshold=rate_switch_threshold,

@@ -2,15 +2,13 @@
 
 The multi-process server (:mod:`repro.serving.sharded`) never ships live
 execution state between processes — no generators, no clocks, no cursors,
-no compiled code objects.  Everything that crosses the FIFO hand-off queues
+no code objects.  Everything that crosses the FIFO hand-off queues
 is one of the plain-data shapes below:
 
 * :class:`SessionSpec` — one admitted query as data: the query, its
   admission time, optional plan override, quantum size, and (for
   partition-parallel execution) per-partition source overrides.  The worker
-  rehydrates a full :class:`~repro.serving.session.QuerySession` from it;
-  compiled pipelines are rebuilt from generated source on the worker side
-  (see :func:`repro.engine.compiled.bind_chain`), never pickled.
+  rehydrates a full :class:`~repro.serving.session.QuerySession` from it.
 * :class:`ShardTask` — one worker's entire assignment: catalog snapshot,
   source pool, processor knobs, scheduling policy, statistics snapshot, and
   the specs of every session routed to that shard.

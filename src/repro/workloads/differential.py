@@ -1,11 +1,10 @@
 """Seeded random SPJA workload generation for differential-style corpora.
 
 This is the workload generator behind the differential test harness
-(``tests/differential.py`` imports it), promoted into the package so that
-non-test consumers — most importantly the compiled-codegen audit of
-:mod:`repro.analysis.codegen_audit`, which must generate *real* fused
-pipelines to lint their generated source — can draw from exactly the same
-seeded population of query shapes the equivalence suites exercise.
+(``tests/differential.py`` imports it), kept in the package so that
+non-test consumers — the ``io-bench`` experiment — can draw from exactly
+the same seeded population of query shapes the equivalence suites
+exercise.
 
 Everything here is deterministic per seed and draws only from an explicit
 ``random.Random`` instance (the determinism lint enforces this for the

@@ -58,11 +58,6 @@ from repro.sources.remote import RemoteSource
 #: Batch sizes every differential case is executed with (issue-mandated).
 BATCH_SIZES = (1, 7, 64, 1024)
 
-#: Batch sizes the compiled engine column runs at (a subset keeps the base
-#: suite's runtime in check; the dedicated compiled differential suite in
-#: ``test_differential_compiled.py`` covers the full equivalence contract).
-COMPILED_BATCH_SIZES = (7, 64)
-
 #: Re-optimization poll interval for the corrective runs.  Small enough that
 #: even the tiny randomized workloads get polled several times, so plan
 #: switches actually happen on a healthy fraction of the seeds.
@@ -72,9 +67,9 @@ POLLING_INTERVAL = 0.002
 POLL_STEP_LIMIT = 40
 
 
-# The workload generator lives in the package now (the compiled-codegen
-# audit draws from the same seeded population); re-exported here so every
-# differential suite keeps importing it from this harness.
+# The workload generator lives in the package (the io-bench experiment draws
+# from the same seeded population); re-exported here so every differential
+# suite keeps importing it from this harness.
 from repro.workloads.differential import (  # noqa: F401  (re-export)
     DifferentialWorkload,
     generate_workload,
@@ -205,7 +200,6 @@ class EngineObservables:
 def run_solo_corrective(
     workload: DifferentialWorkload,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
     catalog: Catalog | None = None,
     sources: dict | None = None,
     initial_tree: JoinTree | None = None,
@@ -215,8 +209,8 @@ def run_solo_corrective(
 ):
     """One solo corrective run of a differential workload.
 
-    The parameterized runner behind every solo differential column: engine
-    mode, batch size, and any extra processor options (``order_adaptive``,
+    The parameterized runner behind every solo differential column: batch
+    size and any extra processor options (``order_adaptive``,
     ``rate_adaptive``, …) vary; the bad initial tree, polling cadence and
     canonicalization are shared.  Returns ``(report, EngineObservables)``.
     """
@@ -226,7 +220,6 @@ def run_solo_corrective(
         sources if sources is not None else workload.sources(),
         polling_interval_seconds=polling_interval,
         batch_size=batch_size,
-        engine_mode=engine_mode,
         **processor_options,
     ).execute(
         query,
@@ -248,7 +241,6 @@ def run_served_workloads(
     workloads: list[DifferentialWorkload],
     policy: str,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
     **server_options,
 ):
     """One serving run over prefix-namespaced differential workloads.
@@ -272,7 +264,6 @@ def run_served_workloads(
         batch_size=batch_size,
         quantum_tuples=POLL_STEP_LIMIT,
         polling_interval_seconds=POLLING_INTERVAL,
-        engine_mode=engine_mode,
         **server_options,
     )
     for workload in workloads:
@@ -345,16 +336,12 @@ def run_differential_case(seed: int) -> DifferentialResult:
         canonical_names,
     )
 
-    engine_columns = [("pipelined", None, "interpreted")] + [
-        (f"batched[{batch_size}]", batch_size, "interpreted")
-        for batch_size in BATCH_SIZES
-    ] + [
-        (f"compiled[{batch_size}]", batch_size, "compiled")
-        for batch_size in COMPILED_BATCH_SIZES
+    engine_columns = [("pipelined", None)] + [
+        (f"batched[{batch_size}]", batch_size) for batch_size in BATCH_SIZES
     ]
-    for label, batch_size, engine_mode in engine_columns:
+    for label, batch_size in engine_columns:
         rows, plan = PipelinedExecutor(
-            workload.sources(), batch_size=batch_size, engine_mode=engine_mode
+            workload.sources(), batch_size=batch_size
         ).execute(query, fixed_tree)
         names = (
             canonical_names
@@ -365,18 +352,13 @@ def run_differential_case(seed: int) -> DifferentialResult:
             rows, names, canonical_names
         )
 
-    corrective_columns = [("corrective", None, "interpreted")] + [
-        (f"corrective[{batch_size}]", batch_size, "interpreted")
-        for batch_size in BATCH_SIZES
-    ] + [
-        (f"corrective-compiled[{batch_size}]", batch_size, "compiled")
-        for batch_size in COMPILED_BATCH_SIZES
+    corrective_columns = [("corrective", None)] + [
+        (f"corrective[{batch_size}]", batch_size) for batch_size in BATCH_SIZES
     ]
-    for label, batch_size, engine_mode in corrective_columns:
+    for label, batch_size in corrective_columns:
         _, observables = run_solo_corrective(
             workload,
             batch_size=batch_size,
-            engine_mode=engine_mode,
             catalog=catalog,
             initial_tree=bad_tree,
         )
@@ -458,159 +440,6 @@ def run_serving_differential_case(
         serving_report=report,
         solo_phase_counts=solo_phase_counts,
         served_phase_counts=served_phase_counts,
-    )
-
-
-@dataclass
-class CompiledDifferentialResult:
-    """Interpreted-vs-compiled observables for one workload (solo corrective)."""
-
-    seed: int
-    workload: DifferentialWorkload
-    reference: Counter
-    interpreted: EngineObservables
-    compiled: EngineObservables
-
-
-def run_compiled_differential_case(
-    seed: int, batch_size: int = 64
-) -> CompiledDifferentialResult:
-    """Run one workload through corrective processing with both engines.
-
-    Both runs start from the same deliberately bad plan with identical
-    polling parameters, so they traverse the same phases — the compiled
-    engine must match the interpreted batched engine **bit for bit**:
-    result multiset, every work counter, simulated seconds (local *and*
-    remote sources — the compiled engine preserves even the clock-charge
-    granularity) and the number of corrective phases.
-    """
-    workload = generate_workload(seed)
-    query = workload.query
-    observed = {}
-    for engine_mode in ("interpreted", "compiled"):
-        _, observed[engine_mode] = run_solo_corrective(
-            workload, batch_size=batch_size, engine_mode=engine_mode
-        )
-    return CompiledDifferentialResult(
-        seed=seed,
-        workload=workload,
-        reference=Counter(reference_spja(query, workload.relations)),
-        interpreted=observed["interpreted"],
-        compiled=observed["compiled"],
-    )
-
-
-def assert_compiled_differential_case(result: CompiledDifferentialResult) -> None:
-    """Assert the full bit-identical contract for one solo compiled case."""
-    name = result.workload.query.name
-    assert result.interpreted.multiset == result.reference, (
-        f"seed {result.seed}: interpreted corrective run disagrees with the "
-        f"reference oracle on {name}"
-    )
-    assert result.compiled.multiset == result.reference, (
-        f"seed {result.seed}: compiled corrective run disagrees with the "
-        f"reference oracle on {name}"
-    )
-    assert result.compiled.metrics == result.interpreted.metrics, (
-        f"seed {result.seed}: compiled work counters diverge on {name}: "
-        f"{result.compiled.metrics} vs {result.interpreted.metrics}"
-    )
-    assert result.compiled.simulated_seconds == result.interpreted.simulated_seconds, (
-        f"seed {result.seed}: compiled simulated seconds diverge on {name} "
-        f"({result.compiled.simulated_seconds!r} vs "
-        f"{result.interpreted.simulated_seconds!r})"
-    )
-    assert result.compiled.phases == result.interpreted.phases, (
-        f"seed {result.seed}: compiled phase count diverges on {name} "
-        f"({result.compiled.phases} vs {result.interpreted.phases})"
-    )
-
-
-@dataclass
-class CompiledServingDifferentialResult:
-    """Interpreted-vs-compiled comparison of one whole serving run."""
-
-    seeds: tuple[int, ...]
-    policy: str
-    batch_size: int
-    workloads: list[DifferentialWorkload]
-    references: list[Counter]
-    interpreted: list[EngineObservables]
-    compiled: list[EngineObservables]
-    interpreted_makespan: float
-    compiled_makespan: float
-
-
-def run_compiled_serving_differential_case(
-    seeds, policy: str = "round_robin", batch_size: int = 64
-) -> CompiledServingDifferentialResult:
-    """Serve the same workload mix with both engines and collect observables.
-
-    The servers are configured identically (shared clock, same policy and
-    quantum); because the compiled engine charges bit-identical work at
-    bit-identical points, the schedulers make identical decisions and every
-    served query must report identical answers, counters, simulated timings
-    and phase counts — the whole serving run is replayed exactly.
-    """
-    workloads = [
-        generate_workload(seed, name_prefix=f"w{index}_")
-        for index, seed in enumerate(seeds)
-    ]
-    references = [
-        Counter(reference_spja(workload.query, workload.relations))
-        for workload in workloads
-    ]
-
-    observed: dict[str, list[EngineObservables]] = {}
-    makespans: dict[str, float] = {}
-    for engine_mode in ("interpreted", "compiled"):
-        report, observed[engine_mode] = run_served_workloads(
-            workloads, policy, batch_size=batch_size, engine_mode=engine_mode
-        )
-        makespans[engine_mode] = report.makespan
-    return CompiledServingDifferentialResult(
-        seeds=tuple(seeds),
-        policy=policy,
-        batch_size=batch_size,
-        workloads=workloads,
-        references=references,
-        interpreted=observed["interpreted"],
-        compiled=observed["compiled"],
-        interpreted_makespan=makespans["interpreted"],
-        compiled_makespan=makespans["compiled"],
-    )
-
-
-def assert_compiled_serving_differential_case(
-    result: CompiledServingDifferentialResult,
-) -> None:
-    """Assert the bit-identical contract for one served workload mix."""
-    for workload, reference, interpreted, compiled in zip(
-        result.workloads, result.references, result.interpreted, result.compiled
-    ):
-        name = workload.query.name
-        context = (
-            f"policy {result.policy!r}, batch_size={result.batch_size}, "
-            f"query {name} (seed {workload.seed})"
-        )
-        assert interpreted.multiset == reference, (
-            f"{context}: interpreted served answer disagrees with the oracle"
-        )
-        assert compiled.multiset == reference, (
-            f"{context}: compiled served answer disagrees with the oracle"
-        )
-        assert compiled.metrics == interpreted.metrics, (
-            f"{context}: served work counters diverge"
-        )
-        assert compiled.simulated_seconds == interpreted.simulated_seconds, (
-            f"{context}: served simulated seconds diverge"
-        )
-        assert compiled.phases == interpreted.phases, (
-            f"{context}: served phase counts diverge"
-        )
-    assert result.compiled_makespan == result.interpreted_makespan, (
-        f"policy {result.policy!r}: serving makespans diverge "
-        f"({result.compiled_makespan!r} vs {result.interpreted_makespan!r})"
     )
 
 
@@ -845,7 +674,6 @@ def run_sharded_workloads(
     policy: str,
     workers: int,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
     start_method: str | None = None,
     **server_options,
 ):
@@ -874,7 +702,6 @@ def run_sharded_workloads(
         batch_size=batch_size,
         quantum_tuples=POLL_STEP_LIMIT,
         polling_interval_seconds=POLLING_INTERVAL,
-        engine_mode=engine_mode,
         start_method=start_method,
         **server_options,
     )
@@ -912,7 +739,6 @@ class ShardedDifferentialResult:
     policy: str
     workers: int
     batch_size: int | None
-    engine_mode: str
     start_method: str | None
     workloads: list[DifferentialWorkload]
     report: object  # repro.serving.sharded.ShardedServingReport
@@ -933,7 +759,6 @@ def run_sharded_differential_case(
     policy: str,
     workers: int,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
     start_method: str | None = None,
 ) -> ShardedDifferentialResult:
     """Shard several differential workloads across worker processes; verify
@@ -943,7 +768,7 @@ def run_sharded_differential_case(
     session runs blocking on a private clock — exactly like solo execution —
     not just multisets but work counters, simulated seconds *and* phase
     counts must equal the solo run with identical parameters, on every
-    worker count, scheduling policy, engine mode and start method.
+    worker count, scheduling policy, batch size and start method.
     """
     workloads = [
         generate_workload(seed, name_prefix=f"w{index}_")
@@ -953,9 +778,7 @@ def run_sharded_differential_case(
     solo_observables = []
     for workload in workloads:
         reference = Counter(reference_spja(workload.query, workload.relations))
-        _, solo = run_solo_corrective(
-            workload, batch_size=batch_size, engine_mode=engine_mode
-        )
+        _, solo = run_solo_corrective(workload, batch_size=batch_size)
         assert solo.multiset == reference, (
             f"solo corrective run disagrees with the reference oracle on "
             f"query {workload.query.name} (seed {workload.seed})"
@@ -967,7 +790,6 @@ def run_sharded_differential_case(
         policy,
         workers,
         batch_size=batch_size,
-        engine_mode=engine_mode,
         start_method=start_method,
     )
     for served, solo, workload in zip(
@@ -975,7 +797,7 @@ def run_sharded_differential_case(
     ):
         context = (
             f"workers={workers}, policy={policy!r}, batch_size={batch_size}, "
-            f"engine={engine_mode}, start={start_method!r}: sharded query "
+            f"start={start_method!r}: sharded query "
             f"{workload.query.name!r} (seed {workload.seed})"
         )
         assert served.multiset == solo.multiset, (
@@ -998,7 +820,6 @@ def run_sharded_differential_case(
         policy=policy,
         workers=workers,
         batch_size=batch_size,
-        engine_mode=engine_mode,
         start_method=start_method,
         workloads=workloads,
         report=report,
@@ -1015,7 +836,6 @@ class PartitionDifferentialResult:
     partitions: int
     workers: int
     batch_size: int | None
-    engine_mode: str
     workload: DifferentialWorkload
     reference: Counter
     solo: EngineObservables
@@ -1032,7 +852,6 @@ def run_partition_differential_case(
     partitions: int,
     workers: int = 2,
     batch_size: int | None = None,
-    engine_mode: str = "interpreted",
     start_method: str | None = None,
     workload: DifferentialWorkload | None = None,
 ) -> PartitionDifferentialResult:
@@ -1055,9 +874,7 @@ def run_partition_differential_case(
     )
     query = workload.query
     reference = Counter(reference_spja(query, workload.relations))
-    _, solo = run_solo_corrective(
-        workload, batch_size=batch_size, engine_mode=engine_mode
-    )
+    _, solo = run_solo_corrective(workload, batch_size=batch_size)
     assert solo.multiset == reference, (
         f"solo corrective run disagrees with the reference oracle on "
         f"query {query.name} (seed {seed})"
@@ -1070,7 +887,6 @@ def run_partition_differential_case(
         batch_size=batch_size,
         quantum_tuples=POLL_STEP_LIMIT,
         polling_interval_seconds=POLLING_INTERVAL,
-        engine_mode=engine_mode,
         start_method=start_method,
     )
     label = server.submit_partitioned(query, partitions, label=query.name)
@@ -1083,7 +899,7 @@ def run_partition_differential_case(
     )
     assert merged == reference, (
         f"seed {seed}, partitions={partitions}, workers={workers}, "
-        f"batch_size={batch_size}, engine={engine_mode}: partition-parallel "
+        f"batch_size={batch_size}: partition-parallel "
         f"merge disagrees with the reference oracle on {query.name} "
         f"({len(merged)} distinct rows vs {len(reference)}); query:\n"
         f"{query.describe()}"
@@ -1093,7 +909,6 @@ def run_partition_differential_case(
         partitions=partitions,
         workers=workers,
         batch_size=batch_size,
-        engine_mode=engine_mode,
         workload=workload,
         reference=reference,
         solo=solo,

@@ -8,8 +8,7 @@ Two layers:
   neighbouring constructs (seeded RNGs, ``sorted`` iteration, charged
   operators, compliant policies) are asserted silent;
 * **gate tests** — the real package must lint clean (zero unwhitelisted
-  findings, no stale whitelist entries), and the compiled-codegen audit
-  must cover the required corpus breadth and come back clean.
+  findings, no stale whitelist entries).
 """
 
 import json
@@ -25,14 +24,6 @@ from repro.analysis import (
     default_rules,
     registered_rules,
     run_lint,
-)
-from repro.analysis.codegen_audit import (
-    RULE_ACCOUNTING,
-    RULE_DETERMINISM,
-    RULE_PURITY,
-    audit_chain_source,
-    audit_fold_source,
-    audit_generated_pipelines,
 )
 from repro.analysis.runner import (
     STALE_ENTRY_RULE,
@@ -530,7 +521,7 @@ class TestPackageGate:
     def test_cli_gate_exits_zero(self, capsys):
         from repro.experiments.cli import main
 
-        assert main(["repro-lint", "--no-codegen"]) == 0
+        assert main(["repro-lint"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
@@ -540,7 +531,6 @@ class TestPackageGate:
         out_path = tmp_path / "lint.json"
         argv = [
             "repro-lint",
-            "--no-codegen",
             "--shard-audit",
             "--format",
             "json",
@@ -563,92 +553,3 @@ class TestPackageGate:
         with pytest.raises(SystemExit) as exc:
             main(["repro-lint", "--format", "yaml"])
         assert exc.value.code == 2
-
-
-class TestCodegenAudit:
-    @pytest.fixture(scope="class")
-    def report(self):
-        return audit_generated_pipelines()
-
-    def test_generated_corpus_is_clean(self, report):
-        assert report.clean, "\n" + report.render()
-
-    def test_corpus_breadth(self, report):
-        assert report.pipelines_audited >= 20
-        assert report.hash_pipelines > 0
-        assert report.merge_pipelines > 0
-        assert report.inline_predicate_chains > 0
-        assert report.opaque_predicate_chains > 0
-        assert report.folds_audited > 0
-        assert report.chains_audited >= report.pipelines_audited
-
-    def test_missing_charge_fires(self):
-        src = "def _chain(rows, _b=None, _sink=None):\n    _tr = len(rows)\n    _sink(rows)\n"
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_ACCOUNTING and "exactly one top-level _charge" in f.message
-            for f in findings
-        )
-
-    def test_conditional_charge_fires(self):
-        src = (
-            "def _chain(rows, _charge=None, _sink=None):\n"
-            "    _tr = len(rows)\n"
-            "    _sink(rows)\n"
-            "    if _tr:\n"
-            "        _charge(tuples_read=_tr, predicate_evals=0, hash_inserts=0, "
-            "hash_probes=0, tuple_copies=0, tuples_output=0)\n"
-        )
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_ACCOUNTING and "exactly one top-level _charge" in f.message
-            for f in findings
-        )
-
-    def test_incomplete_counter_set_fires(self):
-        src = (
-            "def _chain(rows, _charge=None, _sink=None):\n"
-            "    _tr = len(rows)\n"
-            "    _sink(rows)\n"
-            "    _charge(tuples_read=_tr)\n"
-        )
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_ACCOUNTING and "omits counters" in f.message
-            for f in findings
-        )
-
-    def test_impure_predicate_fires(self):
-        src = (
-            "def _chain(rows, _charge=None, _sink=None):\n"
-            "    _tr = len(rows)\n"
-            "    rows = [row for row in rows if row[0] > len(row)]\n"
-            "    _sink(rows)\n"
-            "    _charge(tuples_read=_tr, predicate_evals=0, hash_inserts=0, "
-            "hash_probes=0, tuple_copies=0, tuples_output=0)\n"
-        )
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_PURITY and "len" in f.message for f in findings
-        )
-
-    def test_banned_name_in_generated_source_fires(self):
-        src = (
-            "def _chain(rows, _charge=None, _sink=None):\n"
-            "    _tr = len(rows)\n"
-            "    _t0 = time.time()\n"
-            "    _sink(rows)\n"
-            "    _charge(tuples_read=_tr, predicate_evals=0, hash_inserts=0, "
-            "hash_probes=0, tuple_copies=0, tuples_output=0)\n"
-        )
-        findings = audit_chain_source(src, "<doctored>")
-        assert any(
-            f.rule == RULE_DETERMINISM and "'time'" in f.message for f in findings
-        )
-
-    def test_uncharged_fold_fires(self):
-        src = "def _fold(rows, _self=None, _metrics=None):\n    for row in rows:\n        pass\n"
-        findings = audit_fold_source(src, "<doctored-fold>")
-        messages = " | ".join(f.message for f in findings)
-        assert "aggregate_updates" in messages
-        assert "tuples_consumed" in messages

@@ -5,7 +5,7 @@ across worker processes — each worker driving its scheduler shard with
 per-session private clocks, statistics snapshots folded at the front-end —
 must leave every query's result **bit-identical** to its solo corrective
 execution: multiset, work counters, simulated seconds and phase counts all
-equal, on every worker count, scheduling policy and engine mode.  This is
+equal, on every worker count, scheduling policy and batch size.  This is
 stronger than the in-process serving differential (which only pins
 multisets): sharded sessions run blocking on private clocks, exactly like
 solo runs, so nothing about their observables may change.
@@ -44,12 +44,13 @@ WORKER_CASES = (
     (4, (6, 7, 8, 9, 10, 11, 12, 13)),
 )
 
-#: (engine mode, batch size): tuple-at-a-time, batched, compiled.
-ENGINE_CASES = (
-    ("interpreted", None),
-    ("interpreted", 64),
-    ("compiled", 64),
-)
+#: Batch sizes: tuple-at-a-time and batched.
+BATCH_SIZES = (None, 64)
+
+
+def _engine_id(batch_size):
+    return f"interpreted-{batch_size}"
+
 
 #: Local (materialized) seeds whose queries partition well: SPJ joins and
 #: grouped aggregation, small enough to keep the suite fast.
@@ -59,9 +60,8 @@ PARTITION_AGG_SEEDS = (23, 33)
 _CASE_CACHE: dict[tuple, object] = {}
 
 
-def _case(seeds, policy, workers, engine_mode="interpreted", batch_size=None,
-          start_method=None):
-    key = (tuple(seeds), policy, workers, engine_mode, batch_size, start_method)
+def _case(seeds, policy, workers, batch_size=None, start_method=None):
+    key = (tuple(seeds), policy, workers, batch_size, start_method)
     result = _CASE_CACHE.get(key)
     if result is None:
         result = run_sharded_differential_case(
@@ -69,22 +69,20 @@ def _case(seeds, policy, workers, engine_mode="interpreted", batch_size=None,
             policy,
             workers,
             batch_size=batch_size,
-            engine_mode=engine_mode,
             start_method=start_method,
         )
         _CASE_CACHE[key] = result
     return result
 
 
-@pytest.mark.parametrize("engine_mode,batch_size", ENGINE_CASES,
-                         ids=lambda value: str(value))
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=_engine_id)
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("workers,seeds", WORKER_CASES,
                          ids=lambda value: str(value))
-def test_sharded_matches_solo(workers, seeds, policy, engine_mode, batch_size):
+def test_sharded_matches_solo(workers, seeds, policy, batch_size):
     """Every served query is bit-identical to solo (asserted in the runner);
     here we pin that the run genuinely sharded the work."""
-    result = _case(seeds, policy, workers, engine_mode, batch_size)
+    result = _case(seeds, policy, workers, batch_size)
     report = result.report
     assert len(report.served) == len(seeds)
     assert report.workers == workers
@@ -144,14 +142,10 @@ def test_partition_parallel_aggregation(seed, partitions):
     assert result.merged == result.reference
 
 
-@pytest.mark.parametrize("engine_mode,batch_size",
-                         (("interpreted", 64), ("compiled", 64)),
-                         ids=lambda value: str(value))
-def test_partition_parallel_batched_engines(engine_mode, batch_size):
-    """Partition-parallel execution under batched and compiled engines."""
-    run_partition_differential_case(
-        22, 4, engine_mode=engine_mode, batch_size=batch_size
-    )
+@pytest.mark.parametrize("batch_size", (64,), ids=_engine_id)
+def test_partition_parallel_batched_engines(batch_size):
+    """Partition-parallel execution under the batched engine."""
+    run_partition_differential_case(22, 4, batch_size=batch_size)
 
 
 def _avg_workload():

@@ -1,7 +1,7 @@
 """Pin the differential harness's re-export shim to the package module.
 
 The seeded workload generator lives in :mod:`repro.workloads.differential`
-(the compiled-codegen audit draws from the same population);
+(the io-bench experiment draws from the same population);
 ``tests/differential.py`` re-exports it so the differential suites keep one
 import path.  This pin catches the shim and the package drifting apart —
 in-repo code should import the package module directly, the shim exists for

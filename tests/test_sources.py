@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.pipelined import SourceCursor
 from repro.relational.catalog import TableStatistics
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -10,6 +11,7 @@ from repro.sources.network import (
     BurstyNetworkModel,
     ConstantRateNetworkModel,
     InstantNetworkModel,
+    NetworkModel,
     PhasedRateNetworkModel,
 )
 from repro.sources.remote import RemoteSource
@@ -172,3 +174,59 @@ class TestSourceDescription:
         description = SourceDescription("src", "global")
         assert isinstance(description.promised_statistics, TableStatistics)
         assert description.promised_statistics.cardinality is None
+
+
+class _CountingNetwork(NetworkModel):
+    """Wraps a network model, counting arrival_times materializations."""
+
+    def __init__(self, inner: NetworkModel) -> None:
+        self.inner = inner
+        self.calls = 0
+
+    def arrival_times(self, tuple_count: int):
+        self.calls += 1
+        return self.inner.arrival_times(tuple_count)
+
+
+class TestArrivalSchedulePriming:
+    def _relation(self, n=40):
+        schema = Schema.from_names(["k", "v"], relation="r")
+        return Relation("r", schema, [(i, i * 2) for i in range(n)])
+
+    def test_priming_happens_at_most_once_per_source_network_pair(self):
+        """Satellite regression: every access path shares one materialization."""
+        network = _CountingNetwork(BurstyNetworkModel(seed=11))
+        source = RemoteSource(self._relation(), network)
+        source.prime()
+        assert network.calls == 1
+        # Every subsequent consumer — column streams, batch streams, tuple
+        # streams, cursors, repeated opens — reuses the cached schedule.
+        list(source.open_stream_columns(8))
+        list(source.open_stream_batches(8))
+        list(source.open_stream())
+        for _ in range(3):
+            cursor = SourceCursor("r", source, prefetch=4)
+            while cursor.read() is not None:
+                pass
+        assert network.calls == 1
+        assert source.open_count == 6
+
+    def test_unprimed_source_materializes_lazily_once(self):
+        network = _CountingNetwork(BurstyNetworkModel(seed=12))
+        source = RemoteSource(self._relation(), network)
+        assert network.calls == 0
+        cursor = SourceCursor("r", source, prefetch=4)
+        cursor.read_batch(1000)
+        assert network.calls == 1
+        SourceCursor("r", source, prefetch=4).read_batch(1000)
+        assert network.calls == 1
+
+    def test_column_chunks_match_pair_chunks(self):
+        source = RemoteSource(self._relation(), BurstyNetworkModel(seed=13))
+        pairs = [item for chunk in source.open_stream_batches(7) for item in chunk]
+        flattened = []
+        for rows, arrivals in source.open_stream_columns(7):
+            if arrivals is None:
+                arrivals = [0.0] * len(rows)
+            flattened.extend(zip(rows, arrivals))
+        assert flattened == pairs

@@ -1,5 +1,7 @@
 """Tests for tuple adapters (state-structure compatibility machinery)."""
 
+import random
+
 import pytest
 
 from repro.relational.schema import Schema, SchemaError
@@ -63,3 +65,44 @@ class TestValidateTuple:
     def test_arity_mismatch(self):
         with pytest.raises(SchemaError):
             validate_tuple(Schema.from_names(["a", "b"]), (1,))
+
+
+class TestTupleAdapterFastPath:
+    def test_itemgetter_path_matches_generic_loop(self):
+        """Satellite: the fast path must equal the per-tuple slow path."""
+        rng = random.Random(5)
+        for arity in (1, 2, 3, 6):
+            names = [f"a{i}" for i in range(arity)]
+            source = Schema.from_names(names)
+            for _ in range(10):
+                order = names[:]
+                rng.shuffle(order)
+                keep = order[: rng.randint(1, arity)]
+                target = Schema.from_names(keep)
+                adapter = TupleAdapter(source, target)
+                assert adapter._getter is not None  # fast path engaged
+                for _ in range(5):
+                    row = tuple(rng.randrange(100) for _ in range(arity))
+                    # The generic (slow) gather, inlined as the oracle:
+                    expected = tuple(
+                        row[i] if i >= 0 else adapter.fill_value
+                        for i in adapter._mapping
+                    )
+                    assert adapter.adapt(row) == expected
+                    assert adapter(row) == expected  # __call__ alias
+                assert adapter.adapt_many([row]) == [expected]
+
+    def test_zero_and_single_attribute_targets(self):
+        source = Schema.from_names(["a", "b"])
+        single = TupleAdapter(source, Schema.from_names(["b"]))
+        assert single.adapt((1, 2)) == (2,)
+        empty = TupleAdapter(source, Schema(()))
+        assert empty.adapt((1, 2)) == ()
+
+    def test_missing_attributes_take_slow_path(self):
+        source = Schema.from_names(["a"])
+        target = Schema.from_names(["a", "pad"])
+        adapter = TupleAdapter(source, target, fill_value="x")
+        assert adapter._getter is None
+        assert adapter.adapt((1,)) == (1, "x")
+        assert adapter.adapt_many([(1,), (2,)]) == [(1, "x"), (2, "x")]
