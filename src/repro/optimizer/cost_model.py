@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.cost import CostModel
-from repro.optimizer.plans import JoinTree, PhysicalPlan, PreAggPoint
+from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import SelectivityEstimator
 from repro.relational.algebra import SPJAQuery
 
@@ -24,14 +24,6 @@ class CostEstimate:
     total_cost: float
     output_cardinality: float
     cardinalities: dict[frozenset, float] = field(default_factory=dict)
-
-    def scaled(self, factor: float) -> "CostEstimate":
-        """Scale the cost (used to estimate cost over a fraction of the data)."""
-        return CostEstimate(
-            total_cost=self.total_cost * factor,
-            output_cardinality=self.output_cardinality * factor,
-            cardinalities=dict(self.cardinalities),
-        )
 
 
 class PlanCostModel:
@@ -61,11 +53,49 @@ class PlanCostModel:
         cost, cardinality = self._tree_cost(
             query, tree, estimator, cardinalities, join_strategies
         )
-        if query.aggregation is not None:
-            cost += cardinality * self.cost_model.aggregate_update * max(
-                len(query.aggregation.aggregates), 1
+        return CostEstimate(
+            self.with_aggregation(query, cost, cardinality), cardinality, cardinalities
+        )
+
+    # -- per-node terms (shared with the join enumerator's dynamic program) -----
+
+    def with_aggregation(
+        self, query: SPJAQuery, tree_cost: float, cardinality: float
+    ) -> float:
+        """``tree_cost`` plus the final aggregation over ``cardinality`` tuples."""
+        if query.aggregation is None:
+            return tree_cost
+        return tree_cost + cardinality * self.cost_model.aggregate_update * max(
+            len(query.aggregation.aggregates), 1
+        )
+
+    def leaf_cost(self, base_cardinality: float) -> float:
+        """Reading a source and evaluating its selection."""
+        model = self.cost_model
+        return base_cardinality * (model.tuple_read + model.predicate_eval)
+
+    def join_cost(
+        self,
+        left_cardinality: float,
+        right_cardinality: float,
+        cardinality: float,
+        strategy: JoinStrategy | None = None,
+    ) -> float:
+        """Cost of one join node over inputs of the given cardinalities."""
+        model = self.cost_model
+        if strategy is not None and strategy.algorithm == "merge":
+            return (
+                self._merge_side_cost(left_cardinality, strategy.left_in_order)
+                + self._merge_side_cost(right_cardinality, strategy.right_in_order)
+                + cardinality * model.tuple_copy
             )
-        return CostEstimate(cost, cardinality, cardinalities)
+        # Symmetric hash join: every input tuple is inserted into its own
+        # hash table and probes the other side's table; every output tuple
+        # is copied.
+        return (
+            (left_cardinality + right_cardinality) * (model.hash_insert + model.hash_probe)
+            + cardinality * model.tuple_copy
+        )
 
     def _merge_side_cost(self, cardinality: float, in_order_fraction: float) -> float:
         """Per-input cost of one merge-join side.
@@ -93,10 +123,7 @@ class PlanCostModel:
         if tree.is_leaf:
             cardinality = estimator.estimate_cardinality(relations)
             cardinalities[relations] = cardinality
-            # Reading the source and evaluating its selection.
-            base = estimator.base_cardinality(tree.relation)
-            cost = base * (self.cost_model.tuple_read + self.cost_model.predicate_eval)
-            return cost, cardinality
+            return self.leaf_cost(estimator.base_cardinality(tree.relation)), cardinality
 
         left_cost, left_card = self._tree_cost(
             query, tree.left, estimator, cardinalities, join_strategies
@@ -106,80 +133,6 @@ class PlanCostModel:
         )
         cardinality = estimator.estimate_cardinality(relations)
         cardinalities[relations] = cardinality
-
-        model = self.cost_model
         strategy = join_strategies.get(relations) if join_strategies else None
-        if strategy is not None and strategy.algorithm == "merge":
-            join_cost = (
-                self._merge_side_cost(left_card, strategy.left_in_order)
-                + self._merge_side_cost(right_card, strategy.right_in_order)
-                + cardinality * model.tuple_copy
-            )
-        else:
-            # Symmetric hash join: every input tuple is inserted into its own
-            # hash table and probes the other side's table; every output
-            # tuple is copied.
-            join_cost = (
-                (left_card + right_card) * (model.hash_insert + model.hash_probe)
-                + cardinality * model.tuple_copy
-            )
+        join_cost = self.join_cost(left_card, right_card, cardinality, strategy)
         return left_cost + right_cost + join_cost, cardinality
-
-    # -- physical plans --------------------------------------------------------------
-
-    def estimate_plan(
-        self,
-        plan: PhysicalPlan,
-        estimator: SelectivityEstimator,
-    ) -> CostEstimate:
-        """Cost of a physical plan, accounting for pre-aggregation points."""
-        base = self.estimate_tree(plan.query, plan.join_tree, estimator)
-        if not plan.preagg_points:
-            return base
-        adjustment = 0.0
-        for point in plan.preagg_points:
-            adjustment += self._preagg_adjustment(plan, point, base, estimator)
-        return CostEstimate(
-            base.total_cost + adjustment, base.output_cardinality, base.cardinalities
-        )
-
-    def _preagg_adjustment(
-        self,
-        plan: PhysicalPlan,
-        point: PreAggPoint,
-        base: CostEstimate,
-        estimator: SelectivityEstimator,
-    ) -> float:
-        """Cost delta of inserting a pre-aggregation operator above a subtree.
-
-        Pre-aggregation pays one aggregate update per input tuple and, in
-        exchange, shrinks the tuple stream feeding the joins above.  The
-        reduction factor is estimated from the ratio of distinct grouping
-        keys to input cardinality; without statistics the operator is assumed
-        to be roughly cost-neutral, which mirrors the paper's observation
-        that the adjustable-window operator is low-risk.
-        """
-        input_card = base.cardinalities.get(frozenset(point.below))
-        if input_card is None:
-            input_card = estimator.estimate_cardinality(frozenset(point.below))
-        update_cost = input_card * self.cost_model.aggregate_update
-        # Estimated reduction: estimated partial-group count / input cardinality,
-        # where the group count is the product of the grouping attributes'
-        # distinct counts (capped at the input size).
-        reduction = 0.5
-        if point.group_attributes:
-            group_estimate = 1.0
-            found = False
-            for attr in point.group_attributes:
-                for rel in point.below:
-                    if attr in estimator.catalog.schema(rel).names:
-                        group_estimate *= estimator.distinct_values(rel, attr)
-                        found = True
-                        break
-            if not found:
-                group_estimate = input_card
-            reduction = min(group_estimate / max(input_card, 1.0), 1.0)
-        saved = input_card * (1.0 - reduction) * (
-            self.cost_model.hash_insert + self.cost_model.hash_probe
-        )
-        return update_cost - saved

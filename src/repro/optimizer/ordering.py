@@ -32,6 +32,7 @@ from repro.optimizer.plans import JoinTree
 from repro.optimizer.statistics import ObservedStatistics
 from repro.relational.algebra import SPJAQuery
 from repro.relational.catalog import Catalog
+from repro.relational.expressions import JoinPredicate
 
 #: an order detector must have seen this many arrivals before its verdict
 #: overrides a catalog promise (or establishes order for an unpromised source)
@@ -137,22 +138,72 @@ class OrderingKnowledge:
         }
 
 
-def _oriented_keys(
-    query: SPJAQuery, left_relations: frozenset[str], right_relations: frozenset[str]
+def primary_join_keys(
+    predicates: tuple[JoinPredicate, ...], left_relations: frozenset[str]
 ) -> tuple[str, str] | None:
-    """The primary join-key pair of a node, oriented (left_attr, right_attr).
+    """Orient the first of a node's ``predicates`` as (left_attr, right_attr).
 
     Mirrors ``PipelinedPlan._build_node``: the first predicate returned by
     ``predicates_between`` drives the node's key; remaining predicates become
     residual filters and do not affect strategy eligibility.
     """
-    predicates = query.predicates_between(left_relations, right_relations)
     if not predicates:
         return None
     primary = predicates[0]
     if primary.left_relation in left_relations:
         return primary.left_attr, primary.right_attr
     return primary.right_attr, primary.left_attr
+
+
+def merge_join_strategy(
+    keys: tuple[str, str] | None,
+    left_ordered: dict[str, SideOrdering],
+    right_ordered: dict[str, SideOrdering],
+    left_is_leaf: bool,
+    right_is_leaf: bool,
+    min_in_order: float = 0.8,
+) -> tuple[JoinStrategy | None, dict[str, SideOrdering]]:
+    """Merge-eligibility of one join node from its inputs' known orderings.
+
+    Returns the node's merge strategy (``None`` when it runs the default
+    symmetric hash join) and the orderings of its output stream.  The node
+    is merge-eligible when both inputs are known (near-)sorted on its
+    oriented join ``keys`` in the same direction with at least
+    ``min_in_order`` of arrivals in order.
+    """
+    if keys is None:
+        return None, {}
+    left_key, right_key = keys
+    left_side = left_ordered.get(left_key)
+    right_side = right_ordered.get(right_key)
+    if (
+        left_side is None
+        or right_side is None
+        or left_side.direction is None
+        or left_side.direction != right_side.direction
+        or min(left_side.in_order_fraction, right_side.in_order_fraction)
+        < min_in_order
+    ):
+        return None, {}
+    strategy = JoinStrategy(
+        algorithm="merge",
+        direction=left_side.direction,
+        left_key=left_key,
+        right_key=right_key,
+        # The out-of-order penalty is charged where disorder is measured:
+        # at the sources.  Internal (child-join) inputs inherit their
+        # order from already-accounted leaves.
+        left_in_order=left_side.in_order_fraction if left_is_leaf else 1.0,
+        right_in_order=right_side.in_order_fraction if right_is_leaf else 1.0,
+    )
+    derived = SideOrdering(
+        left_side.direction,
+        min(left_side.in_order_fraction, right_side.in_order_fraction),
+        "derived",
+    )
+    # A merge join emits outputs in join-key order, and both key columns
+    # carry the same values, so the output is ordered on either name.
+    return strategy, {left_key: derived, right_key: derived}
 
 
 def plan_join_strategies(
@@ -163,10 +214,8 @@ def plan_join_strategies(
 ) -> dict[frozenset, JoinStrategy]:
     """Assign the merge strategy to every order-eligible node of ``tree``.
 
-    A node is merge-eligible when both inputs are known (near-)sorted on the
-    node's join keys in the same direction with at least ``min_in_order`` of
-    arrivals in order.  Nodes not in the returned mapping run the default
-    symmetric hash join.
+    Eligibility is :func:`merge_join_strategy`, applied bottom-up.  Nodes not
+    in the returned mapping run the default symmetric hash join.
     """
     strategies: dict[frozenset, JoinStrategy] = {}
 
@@ -175,40 +224,22 @@ def plan_join_strategies(
             return knowledge.leaf_orderings(node.relation)
         left_ordered = visit(node.left)
         right_ordered = visit(node.right)
-        keys = _oriented_keys(query, node.left.relations(), node.right.relations())
-        if keys is None:
-            return {}
-        left_key, right_key = keys
-        left_side = left_ordered.get(left_key)
-        right_side = right_ordered.get(right_key)
-        if (
-            left_side is None
-            or right_side is None
-            or left_side.direction is None
-            or left_side.direction != right_side.direction
-            or min(left_side.in_order_fraction, right_side.in_order_fraction)
-            < min_in_order
-        ):
-            return {}
-        strategies[node.relations()] = JoinStrategy(
-            algorithm="merge",
-            direction=left_side.direction,
-            left_key=left_key,
-            right_key=right_key,
-            # The out-of-order penalty is charged where disorder is measured:
-            # at the sources.  Internal (child-join) inputs inherit their
-            # order from already-accounted leaves.
-            left_in_order=left_side.in_order_fraction if node.left.is_leaf else 1.0,
-            right_in_order=right_side.in_order_fraction if node.right.is_leaf else 1.0,
+        left_relations = node.left.relations()
+        keys = primary_join_keys(
+            query.predicates_between(left_relations, node.right.relations()),
+            left_relations,
         )
-        derived = SideOrdering(
-            left_side.direction,
-            min(left_side.in_order_fraction, right_side.in_order_fraction),
-            "derived",
+        strategy, ordered = merge_join_strategy(
+            keys,
+            left_ordered,
+            right_ordered,
+            node.left.is_leaf,
+            node.right.is_leaf,
+            min_in_order,
         )
-        # A merge join emits outputs in join-key order, and both key columns
-        # carry the same values, so the output is ordered on either name.
-        return {left_key: derived, right_key: derived}
+        if strategy is not None:
+            strategies[node.relations()] = strategy
+        return ordered
 
     visit(tree)
     return strategies

@@ -227,6 +227,8 @@ class SelectivityEstimator:
         self.observed = observed or ObservedStatistics()
         self.default_cardinality = default_cardinality
         self._cache: dict[frozenset, float] = {}
+        self._selected_cache: dict[str, float] = {}
+        self._distinct_cache: dict[tuple[str, str], float] = {}
 
     # -- base relations ----------------------------------------------------------
 
@@ -299,6 +301,13 @@ class SelectivityEstimator:
 
     def selected_cardinality(self, relation: str) -> float:
         """Cardinality of a base relation after its pushed-down selection."""
+        value = self._selected_cache.get(relation)
+        if value is None:
+            value = self._selected_cardinality(relation)
+            self._selected_cache[relation] = value
+        return value
+
+    def _selected_cardinality(self, relation: str) -> float:
         base = self.base_cardinality(relation)
         predicate = self.query.selection_for(relation)
         obs = self.observed.source(relation)
@@ -336,6 +345,14 @@ class SelectivityEstimator:
 
     def distinct_values(self, relation: str, attribute: str) -> float:
         """Estimated number of distinct values of ``relation.attribute``."""
+        key = (relation, attribute)
+        value = self._distinct_cache.get(key)
+        if value is None:
+            value = self._distinct_values(relation, attribute)
+            self._distinct_cache[key] = value
+        return value
+
+    def _distinct_values(self, relation: str, attribute: str) -> float:
         if relation in self.catalog:
             stats = self.catalog.statistics(relation)
             known = stats.distinct(attribute)
@@ -362,10 +379,7 @@ class SelectivityEstimator:
 
         observed = self.observed.selectivity_of(relations)
         if observed is not None:
-            product = 1.0
-            for relation in relations:
-                product *= self.selected_cardinality(relation)
-            value = max(observed * product, 1.0)
+            value = max(observed * self._selected_product(relations), 1.0)
             self._cache[relations] = value
             return value
 
@@ -386,9 +400,7 @@ class SelectivityEstimator:
 
     def _system_r_estimate(self, relations: frozenset[str]) -> float:
         """Product of input cardinalities scaled by 1/max(distinct) per predicate."""
-        value = 1.0
-        for relation in relations:
-            value *= self.selected_cardinality(relation)
+        value = self._selected_product(relations)
         for pred in self._internal_predicates(relations):
             left_distinct = self.distinct_values(pred.left_relation, pred.left_attr)
             right_distinct = self.distinct_values(pred.right_relation, pred.right_attr)
@@ -408,15 +420,27 @@ class SelectivityEstimator:
 
     def selectivity(self, relations: frozenset[str]) -> float:
         """Selectivity (output / product of inputs) of a subexpression estimate."""
-        product = 1.0
-        for relation in relations:
-            product *= self.selected_cardinality(relation)
+        product = self._selected_product(relations)
         if product <= 0:
             return 1.0
         return self.estimate_cardinality(relations) / product
 
+    def _selected_product(self, relations: frozenset[str]) -> float:
+        """Product of the relations' selected cardinalities.
+
+        Multiplied in sorted name order: a frozenset's iteration order
+        depends on the string hash seed and on how the set was built, and
+        float products in different orders can differ in the last bit.
+        """
+        product = 1.0
+        for relation in sorted(relations):
+            product *= self.selected_cardinality(relation)
+        return product
+
     def invalidate_cache(self) -> None:
         self._cache.clear()
+        self._selected_cache.clear()
+        self._distinct_cache.clear()
 
 
 def fraction_consumed(

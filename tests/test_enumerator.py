@@ -23,15 +23,6 @@ class TestCostModel:
         assert small.output_cardinality > 0
         assert frozenset({"customer", "orders"}) in small.cardinalities
 
-    def test_scaled(self, tiny_tpch):
-        catalog = tiny_tpch.catalog(with_cardinalities=True)
-        query = query_3a()
-        estimator = SelectivityEstimator(catalog, query)
-        estimate = PlanCostModel().estimate_tree(
-            query, JoinTree.left_deep(["customer", "orders", "lineitem"]), estimator
-        )
-        assert estimate.scaled(0.5).total_cost == pytest.approx(estimate.total_cost / 2)
-
 
 class TestJoinEnumerator:
     def test_best_tree_covers_all_relations(self, tiny_tpch):
@@ -88,7 +79,7 @@ class TestJoinEnumerator:
         estimator = SelectivityEstimator(catalog, query)
         enumerator = JoinEnumerator(query, estimator)
         with pytest.raises(ValueError):
-            enumerator._best(frozenset({"customer"}) | frozenset({"nonexistent"}))
+            enumerator.best_tree_for({"customer", "nonexistent"})
 
 
 class TestOptimizer:

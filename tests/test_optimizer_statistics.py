@@ -164,6 +164,19 @@ class TestSelectivityEstimator:
         estimator.invalidate_cache()
         assert estimator.estimate_cardinality(frozenset({"r", "s"})) != first
 
+        selected = estimator.selected_cardinality("r")
+        estimator.observed.record_source("r", 100, 10, False)
+        # the selection selectivity moved to 0.1, but the cached value stands
+        assert estimator.selected_cardinality("r") == selected
+        estimator.invalidate_cache()
+        assert estimator.selected_cardinality("r") == pytest.approx(selected * 0.1)
+
+        distinct = estimator.distinct_values("s", "sk")  # a key: the cardinality
+        estimator.observed.record_source("s", 20_000, 20_000, False)
+        assert estimator.distinct_values("s", "sk") == distinct
+        estimator.invalidate_cache()
+        assert estimator.distinct_values("s", "sk") == 20_000
+
 
 class TestFractionConsumed:
     def test_fractions(self):
